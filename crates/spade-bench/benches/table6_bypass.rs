@@ -57,7 +57,7 @@ fn main() {
             if w.a.num_rows() < 4_096 {
                 space = space.with_row_panel(2);
             }
-            let plans = space.enumerate(&w.a);
+            let plans = space.enumerate(w.a.num_cols());
             for &plan in &plans {
                 search_jobs.push(Job::new(&w, &cfg, kernel, plan));
             }

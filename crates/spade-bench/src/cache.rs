@@ -52,7 +52,7 @@ const FOOTER_LEN: usize = 16;
 /// hash for cache keys and entry checksums. Stable across platforms,
 /// processes and builds (unlike `DefaultHasher`, which is randomly
 /// seeded per process).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fnv64(u64);
 
 impl Fnv64 {

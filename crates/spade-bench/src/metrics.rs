@@ -627,6 +627,9 @@ pub struct ServiceMetrics {
     advise_total: Vec<Arc<Counter>>,
     /// Advise selection latency, microseconds (no simulation included).
     pub advise_latency_us: Arc<Histogram>,
+    /// Workloads prepared (matrix generated, dense operands filled):
+    /// once per matrix a daemon first sees, then only on cache misses.
+    pub workload_prepares: Arc<Counter>,
 }
 
 impl ServiceMetrics {
@@ -744,6 +747,11 @@ impl ServiceMetrics {
             &[],
             &ADVISE_LATENCY_BUCKETS_US,
         );
+        let workload_prepares = r.counter(
+            "spade_workload_prepare_total",
+            "Workloads prepared (matrix generated, dense operands filled); warm cache hits prepare none.",
+            &[],
+        );
         ServiceMetrics {
             registry: r,
             requests,
@@ -763,6 +771,7 @@ impl ServiceMetrics {
             sim_cycles,
             advise_total,
             advise_latency_us,
+            workload_prepares,
         }
     }
 

@@ -36,10 +36,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Once, PoisonError};
 use std::time::Instant;
 
-use spade_core::{Primitive, RunReport, SpadeSystem, SystemConfig};
-use spade_matrix::reference;
+use spade_core::{ExecutionPlan, Primitive, RunReport, SpadeSystem, SystemConfig};
+use spade_matrix::{reference, Coo};
 use spade_sim::{Cycle, TelemetrySeries, TraceLog};
 
+use crate::cache::Fnv64;
 use crate::suite::Workload;
 
 /// Why one job of a sweep failed. Failures are per-job: the rest of the
@@ -166,7 +167,7 @@ pub struct Job {
     /// Which kernel to run.
     pub primitive: Primitive,
     /// The execution plan under test.
-    pub plan: spade_core::ExecutionPlan,
+    pub plan: ExecutionPlan,
     /// Telemetry window in cycles; `None` (the default) disables sampling.
     pub telemetry_window: Option<Cycle>,
     /// Whether to record an event trace (off by default).
@@ -198,6 +199,123 @@ pub struct Job {
     pub deadline_cycles: Option<Cycle>,
 }
 
+/// Bump when the run-key composition changes, so a new daemon never
+/// collides with entries keyed by an older scheme.
+const KEY_SCHEMA: u32 = 1;
+
+/// Seed absorbed first by the high stream of every two-stream key: two
+/// independently seeded streams over the same content widen a key to
+/// 128 bits, pushing collisions out of practical reach.
+const HI_STREAM_SEED: u64 = 0x5eed_5eed_5eed_5eed;
+
+/// The workload half of a run key: the two FNV streams every cache key
+/// uses, after absorbing the key schema, the matrix shape and triplets,
+/// and the dense row size.
+/// Hashing the triplets is the expensive part of a key, so a
+/// [`Workload`] computes its prefix once ([`Workload::key_prefix`]) and
+/// [`run_cache_key`] finishes it per (config, primitive, plan,
+/// deadline) without touching the matrix again.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeyPrefix {
+    lo: Fnv64,
+    hi: Fnv64,
+}
+
+impl KeyPrefix {
+    /// Hashes the content of sparse matrix `a` with dense row size `k`.
+    pub(crate) fn new(a: &Coo, k: usize) -> Self {
+        let mut prefix = KeyPrefix::seeded();
+        prefix.absorb(|h| {
+            h.write_u32(KEY_SCHEMA);
+            h.write_u64(a.num_rows() as u64);
+            h.write_u64(a.num_cols() as u64);
+            h.write_u64(a.nnz() as u64);
+            for (r, c, v) in a.iter() {
+                h.write_u32(r);
+                h.write_u32(c);
+                h.write_u32(v.to_bits());
+            }
+            h.write_u64(k as u64);
+        });
+        prefix
+    }
+
+    /// Two empty streams, the high one seeded with [`HI_STREAM_SEED`].
+    fn seeded() -> Self {
+        let mut hi = Fnv64::new();
+        hi.write_u64(HI_STREAM_SEED);
+        KeyPrefix {
+            lo: Fnv64::new(),
+            hi,
+        }
+    }
+
+    /// Writes the same content into both streams.
+    fn absorb(&mut self, write: impl Fn(&mut Fnv64)) {
+        write(&mut self.lo);
+        write(&mut self.hi);
+    }
+
+    /// The 32-hex-digit digest of everything absorbed so far.
+    fn hex(&self) -> String {
+        format!("{:016x}{:016x}", self.lo.finish(), self.hi.finish())
+    }
+}
+
+/// The run cache key ([`Job::cache_key`]) of a workload with key prefix
+/// `prefix` run as (`config`, `primitive`, `plan`, `deadline`). The one
+/// implementation of run keys: the daemon calls it with a memoized
+/// prefix to answer a cache hit without preparing the workload.
+pub(crate) fn run_cache_key(
+    prefix: &KeyPrefix,
+    config: &SystemConfig,
+    primitive: Primitive,
+    plan: &ExecutionPlan,
+    deadline: Option<Cycle>,
+) -> String {
+    let mut key = *prefix;
+    key.absorb(|h| {
+        // SystemConfig and ExecutionPlan are plain-data structs; their
+        // Debug form is a complete, deterministic rendering of every
+        // field. The KEY_SCHEMA bump covers any future layout change.
+        h.write(format!("{config:?}").as_bytes());
+        h.write(format!("{primitive:?}|{plan:?}").as_bytes());
+        match deadline {
+            // A deadline changes the *outcome space* (a run may fail at
+            // the ceiling), so bounded and unbounded runs get distinct
+            // keys.
+            Some(d) => h.write_u64(d),
+            None => h.write(b"-"),
+        }
+    });
+    key.hex()
+}
+
+/// The trace key ([`Job::trace_cache_key`]) of a run with key `run_key`
+/// traced with telemetry `window`.
+pub(crate) fn trace_cache_key(run_key: &str, window: Option<Cycle>) -> String {
+    // Bump when the trace payload composition changes, so a new daemon
+    // never serves a stale trace layout.
+    const TRACE_KEY_SCHEMA: u32 = 1;
+    let digest = digest128(|h| {
+        h.write_u32(TRACE_KEY_SCHEMA);
+        h.write(run_key.as_bytes());
+        match window {
+            Some(w) => h.write_u64(w),
+            None => h.write(b"-"),
+        }
+    });
+    format!("t{digest}")
+}
+
+/// A 32-hex-digit digest of what `write` absorbs, over the same two
+/// streams as every cache key.
+pub(crate) fn digest128(write: impl Fn(&mut Fnv64)) -> String {
+    let mut streams = KeyPrefix::seeded();
+    streams.absorb(write);
+    streams.hex()
+}
+
 /// Everything one job produced: the report plus whatever observability
 /// artifacts the job requested. Per-job simulations are single-threaded,
 /// so the artifacts are deterministic and independent of the runner's
@@ -218,7 +336,7 @@ impl Job {
         workload: &Arc<Workload>,
         config: &Arc<SystemConfig>,
         primitive: Primitive,
-        plan: spade_core::ExecutionPlan,
+        plan: ExecutionPlan,
     ) -> Self {
         Job {
             workload: Arc::clone(workload),
@@ -285,7 +403,7 @@ impl Job {
         usize,
         usize,
         Primitive,
-        spade_core::ExecutionPlan,
+        ExecutionPlan,
         Option<Cycle>,
         bool,
         bool,
@@ -324,42 +442,13 @@ impl Job {
     /// scheduler/memory/shard equivalence suites), and the cache stores
     /// reports only.
     pub fn cache_key(&self) -> String {
-        // Bump when the key composition itself changes, so a new daemon
-        // never collides with entries keyed by an older scheme.
-        const KEY_SCHEMA: u32 = 1;
-        let absorb = |h: &mut crate::cache::Fnv64| {
-            h.write_u32(KEY_SCHEMA);
-            let a = &self.workload.a;
-            h.write_u64(a.num_rows() as u64);
-            h.write_u64(a.num_cols() as u64);
-            h.write_u64(a.nnz() as u64);
-            for (r, c, v) in a.iter() {
-                h.write_u32(r);
-                h.write_u32(c);
-                h.write_u32(v.to_bits());
-            }
-            h.write_u64(self.workload.k as u64);
-            // SystemConfig and ExecutionPlan are plain-data structs; their
-            // Debug form is a complete, deterministic rendering of every
-            // field. The KEY_SCHEMA bump covers any future layout change.
-            h.write(format!("{:?}", self.config).as_bytes());
-            h.write(format!("{:?}|{:?}", self.primitive, self.plan).as_bytes());
-            match self.deadline_cycles {
-                // A deadline changes the *outcome space* (a run may fail
-                // at the ceiling), so bounded and unbounded runs get
-                // distinct keys.
-                Some(d) => h.write_u64(d),
-                None => h.write(b"-"),
-            }
-        };
-        // Two independently seeded streams over the same content widen
-        // the key to 128 bits, pushing collisions out of practical reach.
-        let mut lo = crate::cache::Fnv64::new();
-        absorb(&mut lo);
-        let mut hi = crate::cache::Fnv64::new();
-        hi.write_u64(0x5eed_5eed_5eed_5eed);
-        absorb(&mut hi);
-        format!("{:016x}{:016x}", lo.finish(), hi.finish())
+        run_cache_key(
+            &self.workload.key_prefix(),
+            &self.config,
+            self.primitive,
+            &self.plan,
+            self.deadline_cycles,
+        )
     }
 
     /// Content-addressed identity of this job *as a traced run*: the
@@ -369,24 +458,7 @@ impl Job {
     /// must absorb the telemetry window — the telemetry lane is part of
     /// the served trace bytes.
     pub fn trace_cache_key(&self) -> String {
-        // Bump when the trace payload composition changes, so a new
-        // daemon never serves a stale trace layout.
-        const TRACE_KEY_SCHEMA: u32 = 1;
-        let base = self.cache_key();
-        let absorb = |h: &mut crate::cache::Fnv64| {
-            h.write_u32(TRACE_KEY_SCHEMA);
-            h.write(base.as_bytes());
-            match self.telemetry_window {
-                Some(w) => h.write_u64(w),
-                None => h.write(b"-"),
-            }
-        };
-        let mut lo = crate::cache::Fnv64::new();
-        absorb(&mut lo);
-        let mut hi = crate::cache::Fnv64::new();
-        hi.write_u64(0x5eed_5eed_5eed_5eed);
-        absorb(&mut hi);
-        format!("t{:016x}{:016x}", lo.finish(), hi.finish())
+        trace_cache_key(&self.cache_key(), self.telemetry_window)
     }
 
     /// Runs this job on the calling thread, validating the simulated
@@ -714,7 +786,7 @@ mod tests {
     #[test]
     fn reports_come_back_in_job_order() {
         let (w, cfg) = setup();
-        let plans = machines::quick_search_space(32).enumerate(&w.a);
+        let plans = machines::quick_search_space(32).enumerate(w.a.num_cols());
         let jobs: Vec<Job> = plans
             .iter()
             .map(|&p| Job::new(&w, &cfg, Primitive::Spmm, p))

@@ -86,7 +86,7 @@ pub fn opt_candidates(w: &Workload, quick: bool) -> Vec<ExecutionPlan> {
     if w.a.num_rows() < 4_096 {
         space = space.with_row_panel(2);
     }
-    let mut plans = space.enumerate(&w.a);
+    let mut plans = space.enumerate(w.a.num_cols());
     plans.push(machines::base_plan(&w.a));
     plans
 }

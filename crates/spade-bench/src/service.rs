@@ -36,6 +36,11 @@
 //!   are *canonical*: `host_wall_ns`, `shards` and `shard_wall_ns` — host
 //!   properties, excluded from [`RunReport`] equality — are normalized
 //!   before rendering.
+//! * **Matrix-free hits.** Each daemon keeps a stamp per (benchmark,
+//!   scale, k) it has prepared — the matrix width and the memoized key
+//!   prefix over its triplets — so a request is keyed and
+//!   probed without regenerating its matrix. Only a cache miss prepares
+//!   the workload and builds the [`Job`].
 //! * **Graceful shutdown.** SIGTERM/SIGINT (see
 //!   [`install_termination_handler`]) or an in-band `shutdown` request
 //!   stops the accept loop, drains in-flight jobs, flushes the cache
@@ -89,7 +94,7 @@
 //! telemetry series and trace byte is identical with observability on
 //! or off. The robustness suite pins this.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -107,10 +112,12 @@ use spade_matrix::generators::{Benchmark, Scale};
 use spade_sim::json::MAX_FRAME_BYTES;
 use spade_sim::{Cycle, FrameError, FrameReader, JsonValue};
 
-use crate::cache::{CacheStats, Fnv64, ResultCache};
+use crate::cache::{CacheStats, ResultCache};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
 use crate::model::CostModel;
-use crate::parallel::{self, Job, JobOutput, ParallelRunner};
+use crate::parallel::{
+    self, run_cache_key, trace_cache_key, Job, JobOutput, KeyPrefix, ParallelRunner,
+};
 use crate::suite::Workload;
 
 /// Wire-protocol version, reported by `ping` and `status`. Version 2
@@ -307,6 +314,13 @@ struct Inner {
     /// Stores committed since the last `index.json` flush — the
     /// debounce counter behind [`maybe_flush_index`].
     index_dirty: AtomicU64,
+    /// What a cache key needs from each workload this daemon has
+    /// prepared. With a stamp, a request computes its key — and a warm
+    /// request is answered — without preparing the workload. The wire
+    /// domain is finite (10 benchmarks × 4 scales × `k` ≤
+    /// [`MAX_REQUEST_K`]) and an entry is ~40 bytes, so it is never
+    /// evicted.
+    stamps: Mutex<HashMap<WorkloadId, MatrixStamp>>,
     started: Instant,
 }
 
@@ -327,7 +341,65 @@ impl Inner {
             mean_wait_us,
         )
     }
+
+    /// Workload `id`, from this request's `workloads` or freshly
+    /// prepared — counted, and stamped for every later request.
+    fn workload(&self, id: WorkloadId, workloads: &mut Workloads) -> Arc<Workload> {
+        let w = workloads.entry(id).or_insert_with(|| {
+            self.metrics.workload_prepares.inc();
+            let w = Workload::prepare(id.benchmark, id.scale, id.k);
+            self.stamps
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(id, MatrixStamp::of(&w));
+            Arc::new(w)
+        });
+        Arc::clone(w)
+    }
+
+    /// The stamp of workload `id`. Only the first request for a matrix
+    /// prepares it, into `workloads`, where its own job picks it up.
+    fn stamp(&self, id: WorkloadId, workloads: &mut Workloads) -> MatrixStamp {
+        let known = self
+            .stamps
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&id)
+            .copied();
+        known.unwrap_or_else(|| MatrixStamp::of(&self.workload(id, workloads)))
+    }
 }
+
+/// A suite workload as the wire names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct WorkloadId {
+    benchmark: Benchmark,
+    scale: Scale,
+    k: usize,
+}
+
+/// What a cache key needs from a workload: the matrix width (the Base
+/// plan's column panel and the search-space clamp) and the key prefix
+/// over the matrix content.
+#[derive(Debug, Clone, Copy)]
+struct MatrixStamp {
+    num_cols: usize,
+    key_prefix: KeyPrefix,
+}
+
+impl MatrixStamp {
+    fn of(w: &Workload) -> Self {
+        MatrixStamp {
+            num_cols: w.a.num_cols(),
+            key_prefix: w.key_prefix(),
+        }
+    }
+}
+
+/// Workloads prepared while answering one request: a batch sweep over
+/// pes × plans prepares each matrix once, and the request that fills a
+/// stamp hands its workload on to its own job.
+type Workloads = HashMap<WorkloadId, Arc<Workload>>;
 
 /// A clonable handle for requesting shutdown from another thread (tests,
 /// signal bridges). The daemon also honors SIGTERM/SIGINT directly once
@@ -362,33 +434,22 @@ struct WorkItem {
     reply: SyncSender<Result<String, (String, String)>>,
 }
 
+/// Jobs carry everything a reply renders: the benchmark (the workload's
+/// name), kernel, `k`, `pes` and plan.
 enum WorkKind {
-    Run {
-        job: Box<Job>,
-        benchmark: String,
-        kernel: Primitive,
-        k: usize,
-        pes: usize,
-    },
-    Search {
-        benchmark: String,
-        jobs: Vec<Job>,
-        plans: Vec<ExecutionPlan>,
-        k: usize,
-        pes: usize,
-    },
+    Run(Box<Job>),
+    /// One SpMM job per candidate plan.
+    Search(Vec<Job>),
     /// Filter the cache catalog. Query rides the same admission queue
     /// as simulations — it holds the catalog lock and renders up to
     /// `limit` entries, so it gets the same back-pressure contract.
-    Query { filter: QueryFilter },
+    Query {
+        filter: QueryFilter,
+    },
     /// Run (or cache-serve) one traced job and return the Chrome-trace
     /// document inline in the result.
     Trace {
         job: Box<Job>,
-        benchmark: String,
-        kernel: Primitive,
-        k: usize,
-        pes: usize,
         window: u64,
     },
 }
@@ -448,6 +509,7 @@ impl Service {
                 connections: AtomicU64::new(0),
                 next_rid: AtomicU64::new(0),
                 index_dirty: AtomicU64::new(0),
+                stamps: Mutex::new(HashMap::new()),
                 started: Instant::now(),
             }),
         })
@@ -638,7 +700,8 @@ fn process_frame(
 ) -> bool {
     let rid = inner.next_rid.fetch_add(1, Ordering::Relaxed) + 1;
     let received = Instant::now();
-    let (id, parsed) = match parse_request(frame, inner.config.default_deadline_cycles) {
+    let mut workloads = Workloads::new();
+    let (id, parsed) = match parse_request(inner, frame, &mut workloads) {
         Ok(p) => p,
         Err(message) => {
             inner.bad_frames.fetch_add(1, Ordering::Relaxed);
@@ -659,7 +722,7 @@ fn process_frame(
         Request::Status => "status",
         Request::Metrics => "metrics",
         Request::Shutdown => "shutdown",
-        Request::Work { cmd, .. } => cmd,
+        Request::Work { spec, .. } => spec.cmd(),
         Request::Batch { .. } => "batch",
         Request::Advise { .. } => "advise",
     };
@@ -701,12 +764,12 @@ fn process_frame(
                 true,
             )
         }
-        Request::Work {
-            cmd,
-            kind,
-            cache_key,
-        } => work_response(inner, work_tx, rid, id.as_ref(), cmd, kind, cache_key),
-        Request::Batch { jobs } => batch_response(inner, work_tx, rid, id.as_ref(), jobs),
+        Request::Work { spec, cache_key } => {
+            work_response(inner, work_tx, rid, id.as_ref(), spec, cache_key, workloads)
+        }
+        Request::Batch { jobs } => {
+            batch_response(inner, work_tx, rid, id.as_ref(), jobs, workloads)
+        }
         Request::Advise {
             benchmark,
             scale,
@@ -729,19 +792,22 @@ fn process_frame(
 }
 
 /// Answers one `run`/`search`/`query`/`trace` request: cache probe on
-/// the connection thread, then the bounded admission queue. Returns the
-/// response line and whether it reports success.
+/// the connection thread, then — on a miss — the job is built and sent
+/// through the bounded admission queue. Returns the response line and
+/// whether it reports success.
 fn work_response(
     inner: &Arc<Inner>,
     work_tx: &SyncSender<WorkItem>,
     rid: u64,
     id: Option<&JsonValue>,
-    cmd: &'static str,
-    kind: WorkKind,
+    spec: WorkSpec,
     cache_key: Option<String>,
+    mut workloads: Workloads,
 ) -> (String, bool) {
+    let cmd = spec.cmd();
     // Cache probe happens on the connection thread: a hit never
-    // takes a queue slot and replies in microseconds.
+    // takes a queue slot, never touches the matrix, and replies in
+    // microseconds.
     if let (Some(cache), Some(key)) = (inner.cache.as_ref(), cache_key.as_deref()) {
         if let Some(payload) = cache.get(key) {
             if let Ok(result) = String::from_utf8(payload) {
@@ -751,6 +817,10 @@ fn work_response(
             }
         }
     }
+    let kind = spec.into_work(inner, &mut workloads, cache_key.as_deref());
+    // The job holds its workload; release the request's handle so the
+    // matrix is freed when the worker finishes, not after the reply.
+    drop(workloads);
     let (reply_tx, reply_rx) = mpsc::sync_channel(1);
     let item = WorkItem {
         rid,
@@ -944,7 +1014,8 @@ enum BatchSlot {
 }
 
 /// Answers one `batch` request: every job probes the cache on the
-/// connection thread, misses are enqueued one by one through the same
+/// connection thread, misses are built (preparing each matrix at most
+/// once per batch) and enqueued one by one through the same
 /// bounded admission queue as standalone requests, and replies are
 /// collected in job order. Admission is per job — when the queue fills
 /// mid-batch the jobs that fit keep running and the rest are rejected
@@ -957,14 +1028,15 @@ fn batch_response(
     work_tx: &SyncSender<WorkItem>,
     rid: u64,
     id: Option<&JsonValue>,
-    jobs: Vec<Result<RunSpec, String>>,
+    jobs: Vec<Result<(RunSpec, Option<String>), String>>,
+    mut workloads: Workloads,
 ) -> (String, bool) {
     let total = jobs.len();
     log_event(inner, rid, "batch", &[("jobs", total.into())]);
     let mut slots = Vec::with_capacity(total);
     for (index, spec) in jobs.into_iter().enumerate() {
-        let spec = match spec {
-            Ok(spec) => spec,
+        let (spec, cache_key) = match spec {
+            Ok(keyed) => keyed,
             Err(message) => {
                 slots.push(BatchSlot::Done {
                     rendered: batch_job_error(index, "bad_request", &message, None),
@@ -973,7 +1045,7 @@ fn batch_response(
                 continue;
             }
         };
-        if let (Some(cache), Some(key)) = (inner.cache.as_ref(), spec.cache_key.as_deref()) {
+        if let (Some(cache), Some(key)) = (inner.cache.as_ref(), cache_key.as_deref()) {
             if let Some(payload) = cache.get(key) {
                 if let Ok(result) = String::from_utf8(payload) {
                     inner.served_ok.fetch_add(1, Ordering::Relaxed);
@@ -991,8 +1063,8 @@ fn batch_response(
                 }
             }
         }
+        let kind = WorkSpec::Run(spec).into_work(inner, &mut workloads, cache_key.as_deref());
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        let (kind, cache_key) = spec.into_work();
         let item = WorkItem {
             rid,
             cmd: "batch",
@@ -1042,6 +1114,8 @@ fn batch_response(
             }
         }
     }
+    // As in `work_response`: each admitted job holds its own workload.
+    drop(workloads);
     let (mut succeeded, mut cached, mut failed, mut rejected) = (0u64, 0u64, 0u64, 0u64);
     let mut rendered_jobs = Vec::with_capacity(total);
     for (index, slot) in slots.into_iter().enumerate() {
@@ -1220,17 +1294,18 @@ enum Request {
     Status,
     Metrics,
     Shutdown,
+    /// A `run`/`search`/`trace`/`query` request with its cache key
+    /// (`None`: don't probe or persist).
     Work {
-        cmd: &'static str,
-        kind: WorkKind,
+        spec: WorkSpec,
         cache_key: Option<String>,
     },
     /// A sweep: many `run`-shaped jobs answered in one reply. Each slot
-    /// is either a parsed job or the `bad_request` message that job spec
-    /// earned — a malformed job fails only its own slot, in keeping with
-    /// the per-job containment contract.
+    /// is either a parsed job with its cache key or the `bad_request`
+    /// message that job spec earned — a malformed job fails only its own
+    /// slot, in keeping with the per-job containment contract.
     Batch {
-        jobs: Vec<Result<RunSpec, String>>,
+        jobs: Vec<Result<(RunSpec, Option<String>), String>>,
     },
     /// Millisecond plan selection for one (benchmark, scale, k, pes):
     /// the three-tier advisor, answered on the connection thread — never
@@ -1245,9 +1320,12 @@ enum Request {
 
 /// Parses one frame into a request, applying the same validation the CLI
 /// flags get — every reject happens before any simulation work starts.
+/// Cache keys come from the daemon's stamp table; a workload prepared to
+/// fill a stamp lands in `workloads` for the request's own job.
 fn parse_request(
+    inner: &Inner,
     frame: &[u8],
-    default_deadline: Option<Cycle>,
+    workloads: &mut Workloads,
 ) -> Result<(Option<JsonValue>, Request), String> {
     let text = std::str::from_utf8(frame).map_err(|_| "frame is not UTF-8".to_string())?;
     let doc = JsonValue::parse(text).map_err(|e| format!("frame is not valid JSON: {e}"))?;
@@ -1267,11 +1345,17 @@ fn parse_request(
         "status" => Request::Status,
         "metrics" => Request::Metrics,
         "shutdown" => Request::Shutdown,
-        "run" => parse_run(&doc, default_deadline)?,
-        "search" => parse_search(&doc, default_deadline)?,
+        "run" => {
+            let (run, cache_key) = parse_run_spec(inner, &doc, workloads)?;
+            Request::Work {
+                spec: WorkSpec::Run(run),
+                cache_key,
+            }
+        }
+        "search" => parse_search(inner, &doc, workloads)?,
         "query" => parse_query(&doc)?,
-        "trace" => parse_trace(&doc, default_deadline)?,
-        "batch" => parse_batch(&doc, default_deadline)?,
+        "trace" => parse_trace(inner, &doc, workloads)?,
+        "batch" => parse_batch(inner, &doc, workloads)?,
         "advise" => Request::Advise {
             benchmark: parse_wire_benchmark(&doc)?,
             scale: parse_wire_scale(&doc)?,
@@ -1378,109 +1462,176 @@ fn parse_wire_deadline(
     }
 }
 
-fn parse_wire_plan(doc: &JsonValue, a: &spade_matrix::Coo) -> Result<ExecutionPlan, String> {
-    let mut plan = ExecutionPlan::spmm_base(a).map_err(|e| e.to_string())?;
-    let mut rp = plan.tiling.row_panel_size;
-    let mut cp = plan.tiling.col_panel_size;
-    if let Some(v) = field_u64(doc, "rp")? {
-        rp = v as usize;
-    }
-    match doc.get("cp") {
-        None => {}
-        Some(v) if v.as_str() == Some("all") => cp = a.num_cols().max(1),
-        Some(v) => {
-            cp = v.as_u64().ok_or("\"cp\" must be an integer or \"all\"")? as usize;
+/// The plan a request asks for: SPADE Base (§7.A: 256-row panels, one
+/// column panel spanning all `num_cols` columns, no bypass, no
+/// barriers) with the request's knob overrides.
+fn parse_wire_plan(doc: &JsonValue, num_cols: usize) -> Result<ExecutionPlan, String> {
+    let rp = field_u64(doc, "rp")?.map_or(256, |v| v as usize);
+    let cp = match doc.get("cp") {
+        Some(v) if v.as_str() != Some("all") => {
+            v.as_u64().ok_or("\"cp\" must be an integer or \"all\"")? as usize
         }
-    }
-    plan.tiling = spade_matrix::TilingConfig::new(rp, cp).map_err(|e| e.to_string())?;
-    plan.r_policy = match field_str(doc, "rmatrix", "cache")? {
+        _ => num_cols.max(1),
+    };
+    let r_policy = match field_str(doc, "rmatrix", "cache")? {
         "cache" => RMatrixPolicy::Cache,
         "bypass" => RMatrixPolicy::Bypass,
         "victim" => RMatrixPolicy::BypassVictim,
         other => return Err(format!("unknown rmatrix policy {other:?}")),
     };
-    plan.c_policy = CMatrixPolicy::Cache;
-    if field_bool(doc, "barriers", false)? {
-        plan.barriers = BarrierPolicy::per_column_panel();
-    }
-    Ok(plan)
+    let barriers = if field_bool(doc, "barriers", false)? {
+        BarrierPolicy::per_column_panel()
+    } else {
+        BarrierPolicy::None
+    };
+    ExecutionPlan::with_knobs(rp, cp, r_policy, CMatrixPolicy::Cache, barriers)
+        .map_err(|e| e.to_string())
 }
 
-/// One parsed `run`-shaped job: the standalone `run` request and every
-/// `batch` slot go through exactly this, so a batch job's cache key,
-/// deadline resolution and rendered payload are byte-for-byte those of
-/// the equivalent individual request.
+/// A parsed `run`/`search`/`trace`/`query` request. Parsing keys it from
+/// the stamp table alone; [`WorkSpec::into_work`] builds its jobs — the
+/// expensive part — only after the cache probe misses.
+enum WorkSpec {
+    Run(RunSpec),
+    Trace { run: RunSpec, window: u64 },
+    Search(SearchSpec),
+    Query { filter: QueryFilter },
+}
+
+impl WorkSpec {
+    fn cmd(&self) -> &'static str {
+        match self {
+            WorkSpec::Run(_) => "run",
+            WorkSpec::Trace { .. } => "trace",
+            WorkSpec::Search(_) => "search",
+            WorkSpec::Query { .. } => "query",
+        }
+    }
+
+    /// Builds the worker's job(s) after a cache miss, preparing the
+    /// workload unless this request already holds it. `cache_key` is the
+    /// key parsing computed from the stamp; debug builds check that the
+    /// built job computes the same one from its matrix.
+    fn into_work(
+        self,
+        inner: &Inner,
+        workloads: &mut Workloads,
+        cache_key: Option<&str>,
+    ) -> WorkKind {
+        match self {
+            WorkSpec::Run(run) => {
+                let job = run.job(inner, workloads);
+                if let Some(key) = cache_key {
+                    debug_assert_eq!(key, job.cache_key());
+                }
+                WorkKind::Run(Box::new(job))
+            }
+            WorkSpec::Trace { run, window } => {
+                let job = run
+                    .job(inner, workloads)
+                    .with_telemetry((window > 0).then_some(window))
+                    .with_trace(true);
+                if let Some(key) = cache_key {
+                    debug_assert_eq!(key, job.trace_cache_key());
+                }
+                WorkKind::Trace {
+                    job: Box::new(job),
+                    window,
+                }
+            }
+            WorkSpec::Search(search) => {
+                let workload = inner.workload(search.workload, workloads);
+                let config = Arc::new(SystemConfig::scaled(search.pes));
+                let jobs: Vec<Job> = search
+                    .plans
+                    .iter()
+                    .map(|&plan| {
+                        Job::new(&workload, &config, Primitive::Spmm, plan)
+                            .with_deadline_cycles(search.deadline)
+                    })
+                    .collect();
+                if let Some(key) = cache_key {
+                    let run_keys: Vec<String> = jobs.iter().map(Job::cache_key).collect();
+                    debug_assert_eq!(key, search_cache_key(&run_keys));
+                }
+                WorkKind::Search(jobs)
+            }
+            WorkSpec::Query { filter } => WorkKind::Query { filter },
+        }
+    }
+}
+
+/// One parsed `run`-shaped job: the standalone `run` request, every
+/// `batch` slot and `trace` go through exactly this, so a batch job's
+/// cache key, deadline resolution and rendered payload are byte-for-byte
+/// those of the equivalent individual request.
 struct RunSpec {
-    job: Box<Job>,
-    benchmark: String,
-    kernel: Primitive,
-    k: usize,
+    workload: WorkloadId,
     pes: usize,
-    cache_key: Option<String>,
+    kernel: Primitive,
+    plan: ExecutionPlan,
+    deadline: Option<Cycle>,
 }
 
 impl RunSpec {
-    fn into_work(self) -> (WorkKind, Option<String>) {
-        (
-            WorkKind::Run {
-                job: self.job,
-                benchmark: self.benchmark,
-                kernel: self.kernel,
-                k: self.k,
-                pes: self.pes,
-            },
-            self.cache_key,
+    /// The run cache key, from the workload's stamp — no matrix needed.
+    fn cache_key(&self, stamp: &MatrixStamp) -> String {
+        run_cache_key(
+            &stamp.key_prefix,
+            &SystemConfig::scaled(self.pes),
+            self.kernel,
+            &self.plan,
+            self.deadline,
         )
+    }
+
+    fn job(&self, inner: &Inner, workloads: &mut Workloads) -> Job {
+        let workload = inner.workload(self.workload, workloads);
+        let config = Arc::new(SystemConfig::scaled(self.pes));
+        Job::new(&workload, &config, self.kernel, self.plan).with_deadline_cycles(self.deadline)
     }
 }
 
-/// Parses one `run`-shaped document. `workloads` memoizes prepared
-/// workloads across the jobs of a batch — a sweep over pes × plans
-/// re-uses one matrix preparation per (benchmark, scale, k) instead of
-/// preparing it per job; a standalone `run` passes an empty map.
+/// A parsed `search`: the candidate plans of the quick (or full) space.
+struct SearchSpec {
+    workload: WorkloadId,
+    pes: usize,
+    plans: Vec<ExecutionPlan>,
+    deadline: Option<Cycle>,
+}
+
+/// Parses one `run`-shaped document into its spec and run cache key
+/// (`None` when the request opts out with `no_cache`).
 fn parse_run_spec(
+    inner: &Inner,
     doc: &JsonValue,
-    default_deadline: Option<Cycle>,
-    workloads: &mut BTreeMap<String, Arc<Workload>>,
-) -> Result<RunSpec, String> {
-    let bench = parse_wire_benchmark(doc)?;
+    workloads: &mut Workloads,
+) -> Result<(RunSpec, Option<String>), String> {
+    let benchmark = parse_wire_benchmark(doc)?;
     let scale = parse_wire_scale(doc)?;
     let k = parse_wire_k(doc)?;
     let pes = parse_wire_pes(doc)?;
     let kernel = parse_wire_kernel(doc)?;
-    let deadline = parse_wire_deadline(doc, default_deadline)?;
+    let deadline = parse_wire_deadline(doc, inner.config.default_deadline_cycles)?;
     let no_cache = field_bool(doc, "no_cache", false)?;
-    let workload = Arc::clone(
-        workloads
-            .entry(format!("{}/{:?}/{k}", bench.short_name(), scale))
-            .or_insert_with(|| Arc::new(Workload::prepare(bench, scale, k))),
-    );
-    let plan = parse_wire_plan(doc, &workload.a)?;
-    let config = Arc::new(SystemConfig::scaled(pes));
-    // The deadline is resolved at admission (per-request field or the
-    // service default), so it lands in the job — and therefore in the
-    // cache key — before the cache probe.
-    let job = Job::new(&workload, &config, kernel, plan).with_deadline_cycles(deadline);
-    let cache_key = (!no_cache).then(|| job.cache_key());
-    Ok(RunSpec {
-        job: Box::new(job),
-        benchmark: bench.short_name().to_string(),
-        kernel,
+    let workload = WorkloadId {
+        benchmark,
+        scale,
         k,
+    };
+    let stamp = inner.stamp(workload, workloads);
+    let spec = RunSpec {
+        workload,
         pes,
-        cache_key,
-    })
-}
-
-fn parse_run(doc: &JsonValue, default_deadline: Option<Cycle>) -> Result<Request, String> {
-    let spec = parse_run_spec(doc, default_deadline, &mut BTreeMap::new())?;
-    let cache_key = spec.cache_key.clone();
-    let (kind, _) = spec.into_work();
-    Ok(Request::Work {
-        cmd: "run",
-        cache_key,
-        kind,
-    })
+        kernel,
+        plan: parse_wire_plan(doc, stamp.num_cols)?,
+        // The deadline is resolved at admission (per-request field or
+        // the service default), so it lands in the cache key before the
+        // cache probe.
+        deadline,
+    };
+    let cache_key = (!no_cache).then(|| spec.cache_key(&stamp));
+    Ok((spec, cache_key))
 }
 
 /// Fields a batch request may set once for every job (anything but the
@@ -1564,7 +1715,11 @@ fn expand_sweep(sweep: &JsonValue) -> Result<Vec<JsonValue>, String> {
 /// as a per-job default. Structural problems (no jobs, both forms, over
 /// the cap) reject the request; a single malformed job spec only poisons
 /// its own slot.
-fn parse_batch(doc: &JsonValue, default_deadline: Option<Cycle>) -> Result<Request, String> {
+fn parse_batch(
+    inner: &Inner,
+    doc: &JsonValue,
+    workloads: &mut Workloads,
+) -> Result<Request, String> {
     let job_docs = match (doc.get("jobs"), doc.get("sweep")) {
         (Some(_), Some(_)) => {
             return Err("\"jobs\" and \"sweep\" are mutually exclusive".into());
@@ -1587,103 +1742,86 @@ fn parse_batch(doc: &JsonValue, default_deadline: Option<Cycle>) -> Result<Reque
             job_docs.len()
         ));
     }
-    let mut workloads = BTreeMap::new();
     let jobs = job_docs
         .iter()
         .map(|job| {
-            merged_job_doc(job, doc)
-                .and_then(|merged| parse_run_spec(&merged, default_deadline, &mut workloads))
+            merged_job_doc(job, doc).and_then(|merged| parse_run_spec(inner, &merged, workloads))
         })
         .collect();
     Ok(Request::Batch { jobs })
 }
 
-fn parse_search(doc: &JsonValue, default_deadline: Option<Cycle>) -> Result<Request, String> {
-    let bench = parse_wire_benchmark(doc)?;
+fn parse_search(
+    inner: &Inner,
+    doc: &JsonValue,
+    workloads: &mut Workloads,
+) -> Result<Request, String> {
+    let benchmark = parse_wire_benchmark(doc)?;
     let scale = parse_wire_scale(doc)?;
     let k = parse_wire_k(doc)?;
     let pes = parse_wire_pes(doc)?;
     let full = field_bool(doc, "full", false)?;
-    let deadline = parse_wire_deadline(doc, default_deadline)?;
+    let deadline = parse_wire_deadline(doc, inner.config.default_deadline_cycles)?;
     let no_cache = field_bool(doc, "no_cache", false)?;
-    let workload = Arc::new(Workload::prepare(bench, scale, k));
+    let workload = WorkloadId {
+        benchmark,
+        scale,
+        k,
+    };
+    let stamp = inner.stamp(workload, workloads);
     let space = if full {
         PlanSearchSpace::table3(k)
     } else {
         PlanSearchSpace::quick(k)
     };
-    let plans = space.enumerate(&workload.a);
-    let config = Arc::new(SystemConfig::scaled(pes));
-    let jobs: Vec<Job> = plans
-        .iter()
-        .map(|&plan| {
-            Job::new(&workload, &config, Primitive::Spmm, plan).with_deadline_cycles(deadline)
-        })
-        .collect();
-    let cache_key = (!no_cache).then(|| search_cache_key(&jobs));
+    let plans = space.enumerate(stamp.num_cols);
+    let cache_key = (!no_cache).then(|| {
+        let config = SystemConfig::scaled(pes);
+        let run_keys: Vec<String> = plans
+            .iter()
+            .map(|plan| run_cache_key(&stamp.key_prefix, &config, Primitive::Spmm, plan, deadline))
+            .collect();
+        search_cache_key(&run_keys)
+    });
     Ok(Request::Work {
-        cmd: "search",
-        cache_key,
-        kind: WorkKind::Search {
-            benchmark: bench.short_name().to_string(),
-            jobs,
-            plans,
-            k,
+        spec: WorkSpec::Search(SearchSpec {
+            workload,
             pes,
-        },
+            plans,
+            deadline,
+        }),
+        cache_key,
     })
 }
 
 /// A search result is a pure function of its candidate set, so its key
-/// is a digest over every candidate's content-addressed key (prefixed
-/// `s` to keep run and search entries in distinct key spaces).
-fn search_cache_key(jobs: &[Job]) -> String {
-    let absorb = |h: &mut Fnv64| {
+/// is a digest over every candidate's run key (prefixed `s` to keep run
+/// and search entries in distinct key spaces).
+fn search_cache_key(run_keys: &[String]) -> String {
+    let digest = parallel::digest128(|h| {
         h.write(b"search:v1");
-        for job in jobs {
-            h.write(job.cache_key().as_bytes());
+        for key in run_keys {
+            h.write(key.as_bytes());
         }
-    };
-    let mut lo = Fnv64::new();
-    absorb(&mut lo);
-    let mut hi = Fnv64::new();
-    hi.write_u64(0x5eed_5eed_5eed_5eed);
-    absorb(&mut hi);
-    format!("s{:016x}{:016x}", lo.finish(), hi.finish())
+    });
+    format!("s{digest}")
 }
 
 /// A `trace` request is a `run` request with trace capture forced on
 /// plus an optional telemetry `window` (cycles; default 256, `0`
-/// disables the telemetry lane). Keyed by [`Job::trace_cache_key`], so
-/// a repeated trace is a cache hit with byte-identical trace JSON.
-fn parse_trace(doc: &JsonValue, default_deadline: Option<Cycle>) -> Result<Request, String> {
-    let bench = parse_wire_benchmark(doc)?;
-    let scale = parse_wire_scale(doc)?;
-    let k = parse_wire_k(doc)?;
-    let pes = parse_wire_pes(doc)?;
-    let kernel = parse_wire_kernel(doc)?;
-    let deadline = parse_wire_deadline(doc, default_deadline)?;
-    let no_cache = field_bool(doc, "no_cache", false)?;
+/// disables the telemetry lane). Keyed by [`trace_cache_key`] over the
+/// run key, so a repeated trace is a cache hit with byte-identical trace
+/// JSON.
+fn parse_trace(
+    inner: &Inner,
+    doc: &JsonValue,
+    workloads: &mut Workloads,
+) -> Result<Request, String> {
+    let (run, run_key) = parse_run_spec(inner, doc, workloads)?;
     let window = field_u64(doc, "window")?.unwrap_or(256);
-    let workload = Arc::new(Workload::prepare(bench, scale, k));
-    let plan = parse_wire_plan(doc, &workload.a)?;
-    let config = Arc::new(SystemConfig::scaled(pes));
-    let job = Job::new(&workload, &config, kernel, plan)
-        .with_deadline_cycles(deadline)
-        .with_telemetry((window > 0).then_some(window))
-        .with_trace(true);
-    let cache_key = (!no_cache).then(|| job.trace_cache_key());
     Ok(Request::Work {
-        cmd: "trace",
-        cache_key,
-        kind: WorkKind::Trace {
-            job: Box::new(job),
-            benchmark: bench.short_name().to_string(),
-            kernel,
-            k,
-            pes,
-            window,
-        },
+        cache_key: run_key.map(|key| trace_cache_key(&key, (window > 0).then_some(window))),
+        spec: WorkSpec::Trace { run, window },
     })
 }
 
@@ -1783,9 +1921,8 @@ fn parse_query(doc: &JsonValue) -> Result<Request, String> {
         }
     };
     Ok(Request::Work {
-        cmd: "query",
         cache_key: None,
-        kind: WorkKind::Query {
+        spec: WorkSpec::Query {
             filter: QueryFilter {
                 benchmark,
                 kernel,
@@ -1906,13 +2043,7 @@ fn error_kind(message: &str) -> &'static str {
 
 fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> Result<String, (String, String)> {
     match kind {
-        WorkKind::Run {
-            job,
-            benchmark,
-            kernel,
-            k,
-            pes,
-        } => {
+        WorkKind::Run(job) => {
             // A single-worker runner still wraps the job in the panic
             // guard with one retry — a crashing simulation fails this
             // request, never the worker thread.
@@ -1920,19 +2051,12 @@ fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> Result<String, (String, 
             match outputs.pop().expect("one job in, one result out") {
                 Ok(output) => {
                     inner.metrics.sim_cycles.observe(output.report.cycles);
-                    Ok(run_result_json(benchmark, *kernel, *k, *pes, &job.plan, &output).render())
+                    Ok(run_result_json(job, &output).render())
                 }
                 Err(e) => Err((error_kind(&e.message).to_string(), e.to_string())),
             }
         }
-        WorkKind::Trace {
-            job,
-            benchmark,
-            kernel,
-            k,
-            pes,
-            window,
-        } => {
+        WorkKind::Trace { job, window } => {
             let mut outputs = ParallelRunner::new(1).run_outputs(std::slice::from_ref(job));
             match outputs.pop().expect("one job in, one result out") {
                 Ok(output) => {
@@ -1943,10 +2067,10 @@ fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> Result<String, (String, 
                     // then the Chrome JSON spliced in verbatim so the
                     // wire bytes equal the local `spade-cli trace` file.
                     let head = JsonValue::object([
-                        ("benchmark", benchmark.as_str().into()),
-                        ("kernel", kernel.to_string().into()),
-                        ("k", (*k).into()),
-                        ("pes", (*pes).into()),
+                        ("benchmark", job.workload.name.as_str().into()),
+                        ("kernel", job.primitive.to_string().into()),
+                        ("k", job.workload.k.into()),
+                        ("pes", job.config.num_pes.into()),
                         ("window", (*window).into()),
                         ("events", events.into()),
                         ("plan", plan_json(&job.plan)),
@@ -1969,22 +2093,16 @@ fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> Result<String, (String, 
                 "daemon has no cache configured; nothing to query".to_string(),
             )),
         },
-        WorkKind::Search {
-            benchmark,
-            jobs,
-            plans,
-            k,
-            pes,
-        } => {
+        WorkKind::Search(jobs) => {
             let outcomes = ParallelRunner::new(1).run_outputs(jobs);
             let mut failures = 0usize;
-            let mut results: Vec<(&ExecutionPlan, JobOutput)> = Vec::with_capacity(plans.len());
+            let mut results: Vec<(&Job, JobOutput)> = Vec::with_capacity(jobs.len());
             let mut last_error = String::new();
-            for (plan, outcome) in plans.iter().zip(outcomes) {
+            for (job, outcome) in jobs.iter().zip(outcomes) {
                 match outcome {
                     Ok(o) => {
                         inner.metrics.sim_cycles.observe(o.report.cycles);
-                        results.push((plan, o));
+                        results.push((job, o));
                     }
                     Err(e) => {
                         failures += 1;
@@ -1999,11 +2117,12 @@ fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> Result<String, (String, 
                 ));
             }
             results.sort_by_key(|(_, o)| o.report.cycles);
+            let first = results[0].0;
             let candidates: Vec<JsonValue> = results
                 .iter()
-                .map(|(plan, o)| {
+                .map(|(job, o)| {
                     JsonValue::object([
-                        ("plan", plan_json(plan)),
+                        ("plan", plan_json(&job.plan)),
                         ("cycles", o.report.cycles.into()),
                         ("dram_accesses", o.report.dram_accesses.into()),
                         ("requests_per_cycle", o.report.requests_per_cycle.into()),
@@ -2011,9 +2130,9 @@ fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> Result<String, (String, 
                 })
                 .collect();
             Ok(JsonValue::object([
-                ("benchmark", benchmark.as_str().into()),
-                ("k", (*k).into()),
-                ("pes", (*pes).into()),
+                ("benchmark", first.workload.name.as_str().into()),
+                ("k", first.workload.k.into()),
+                ("pes", first.config.num_pes.into()),
                 ("failures", failures.into()),
                 ("candidates", JsonValue::Array(candidates)),
             ])
@@ -2046,20 +2165,13 @@ pub fn canonical_report(report: &RunReport) -> RunReport {
     canon
 }
 
-fn run_result_json(
-    benchmark: &str,
-    kernel: Primitive,
-    k: usize,
-    pes: usize,
-    plan: &ExecutionPlan,
-    output: &JobOutput,
-) -> JsonValue {
+fn run_result_json(job: &Job, output: &JobOutput) -> JsonValue {
     JsonValue::object([
-        ("benchmark", benchmark.into()),
-        ("kernel", kernel.to_string().into()),
-        ("k", k.into()),
-        ("pes", pes.into()),
-        ("plan", plan_json(plan)),
+        ("benchmark", job.workload.name.as_str().into()),
+        ("kernel", job.primitive.to_string().into()),
+        ("k", job.workload.k.into()),
+        ("pes", job.config.num_pes.into()),
+        ("plan", plan_json(&job.plan)),
         ("report", canonical_report(&output.report).to_json()),
     ])
 }
@@ -2540,5 +2652,144 @@ impl ServiceClient {
     /// need to send partial or garbage frames.
     pub fn raw_writer(&mut self) -> &mut TcpStream {
         &mut self.writer
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A cache directory written by an earlier build must keep hitting:
+    /// the run, trace and search keys of one fixed tiny job, pinned.
+    #[test]
+    fn cache_keys_match_the_pinned_values() {
+        let w = Arc::new(Workload::prepare(Benchmark::Myc, Scale::Tiny, 16));
+        let config = Arc::new(SystemConfig::scaled(4));
+        let deadline = Some(4_000_000_000);
+        let job_for =
+            |plan| Job::new(&w, &config, Primitive::Spmm, plan).with_deadline_cycles(deadline);
+        let job = job_for(ExecutionPlan::spmm_base(&w.a).unwrap());
+        assert_eq!(job.cache_key(), "c9a832aff3d7a3dabf2f30264fa1c922");
+        let traced = job.with_telemetry(Some(256)).with_trace(true);
+        assert_eq!(
+            traced.trace_cache_key(),
+            "t4f35fe03ae6357fa14aa8febe30cba52"
+        );
+        let run_keys: Vec<String> = PlanSearchSpace::quick(16)
+            .enumerate(w.a.num_cols())
+            .into_iter()
+            .map(|plan| job_for(plan).cache_key())
+            .collect();
+        assert_eq!(
+            search_cache_key(&run_keys),
+            "s553ed18811dc40787542f2ff5994ca90"
+        );
+    }
+
+    /// The key a stamped request computes without its matrix equals the
+    /// key of a job built from a freshly prepared workload, for every
+    /// tiny graph, both kernels, three plan shapes and three deadline
+    /// forms — and the request prepares nothing.
+    #[test]
+    fn stamp_keys_equal_freshly_prepared_job_keys() {
+        let svc = Service::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+        let inner = &svc.inner;
+        let default_deadline = inner.config.default_deadline_cycles;
+        let config = Arc::new(SystemConfig::scaled(8));
+        let deadlines = [
+            ("", default_deadline),
+            (r#","deadline_cycles":0"#, None),
+            (r#","deadline_cycles":123456"#, Some(123_456)),
+        ];
+        let parse = |frame: &str| {
+            let mut workloads = Workloads::new();
+            let (_, request) = parse_request(inner, frame.as_bytes(), &mut workloads)
+                .unwrap_or_else(|e| panic!("{frame}: {e}"));
+            (request, workloads.len())
+        };
+        for bench in Benchmark::ALL {
+            let name = bench.short_name();
+            let fresh = Arc::new(Workload::prepare(bench, Scale::Tiny, 32));
+            let ncols = fresh.a.num_cols();
+            let plans = [
+                ("", ExecutionPlan::spmm_base(&fresh.a).unwrap()),
+                (
+                    r#","cp":"all""#,
+                    ExecutionPlan::with_knobs(
+                        256,
+                        ncols,
+                        RMatrixPolicy::Cache,
+                        CMatrixPolicy::Cache,
+                        BarrierPolicy::None,
+                    )
+                    .unwrap(),
+                ),
+                (
+                    r#","rp":64,"rmatrix":"bypass","barriers":true"#,
+                    ExecutionPlan::with_knobs(
+                        64,
+                        ncols,
+                        RMatrixPolicy::Bypass,
+                        CMatrixPolicy::Cache,
+                        BarrierPolicy::per_column_panel(),
+                    )
+                    .unwrap(),
+                ),
+            ];
+            // The first request for a matrix prepares it and fills the
+            // stamp; everything after is answered from the stamp.
+            let head = format!(r#""benchmark":"{name}","k":32,"pes":8"#);
+            let (_, prepared) = parse(&format!(r#"{{"cmd":"run",{head}}}"#));
+            assert_eq!(prepared, 1, "{name}: first request prepares");
+            for (kernel, primitive) in [("spmm", Primitive::Spmm), ("sddmm", Primitive::Sddmm)] {
+                for (plan_fields, plan) in &plans {
+                    for (deadline_field, deadline) in deadlines {
+                        let fields =
+                            format!(r#"{head},"kernel":"{kernel}"{plan_fields}{deadline_field}"#);
+                        let job = Job::new(&fresh, &config, primitive, *plan)
+                            .with_deadline_cycles(deadline);
+                        let (run, prepared) = parse(&format!(r#"{{"cmd":"run",{fields}}}"#));
+                        assert_eq!(prepared, 0, "{fields}: stamped run prepared");
+                        let Request::Work {
+                            cache_key: Some(key),
+                            ..
+                        } = run
+                        else {
+                            panic!("{fields}: run not keyed");
+                        };
+                        assert_eq!(key, job.cache_key(), "{fields}");
+                        let (trace, _) = parse(&format!(r#"{{"cmd":"trace",{fields}}}"#));
+                        let Request::Work {
+                            cache_key: Some(key),
+                            ..
+                        } = trace
+                        else {
+                            panic!("{fields}: trace not keyed");
+                        };
+                        let traced = job.with_telemetry(Some(256)).with_trace(true);
+                        assert_eq!(key, traced.trace_cache_key(), "{fields}");
+                    }
+                }
+            }
+            let (search, prepared) = parse(&format!(r#"{{"cmd":"search",{head}}}"#));
+            assert_eq!(prepared, 0, "{name}: stamped search prepared");
+            let Request::Work {
+                cache_key: Some(key),
+                ..
+            } = search
+            else {
+                panic!("{name}: search not keyed");
+            };
+            let run_keys: Vec<String> = PlanSearchSpace::quick(32)
+                .enumerate(ncols)
+                .into_iter()
+                .map(|plan| {
+                    Job::new(&fresh, &config, Primitive::Spmm, plan)
+                        .with_deadline_cycles(default_deadline)
+                        .cache_key()
+                })
+                .collect();
+            assert_eq!(key, search_cache_key(&run_keys), "{name}: search");
+        }
     }
 }

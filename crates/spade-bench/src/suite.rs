@@ -6,12 +6,15 @@
 //! all live behind `Arc`s. The Opt search runs a dozen plans against the
 //! same workload — sharing means the operands are prepared once and the
 //! functional gold result is computed once per (workload, primitive)
-//! instead of once per simulated run.
+//! instead of once per simulated run. The cache-key prefix (a hash over
+//! every triplet) is memoized the same way.
 
 use std::sync::{Arc, OnceLock};
 
 use spade_matrix::generators::{Benchmark, Scale};
 use spade_matrix::{reference, Coo, DenseMatrix};
+
+use crate::parallel::KeyPrefix;
 
 /// One prepared workload: the sparse matrix plus deterministic dense
 /// operands for a given `K`, with memoized gold (reference) outputs.
@@ -36,6 +39,9 @@ pub struct Workload {
     /// Gold SDDMM output values (in `a`'s non-zero order), memoized the
     /// same way.
     gold_sddmm: Arc<OnceLock<Vec<f32>>>,
+    /// The content half of every cache key of this workload, memoized
+    /// the same way.
+    key_prefix: Arc<OnceLock<KeyPrefix>>,
 }
 
 impl Workload {
@@ -65,6 +71,7 @@ impl Workload {
             c_t: Arc::new(c_t),
             gold_spmm: Arc::new(OnceLock::new()),
             gold_sddmm: Arc::new(OnceLock::new()),
+            key_prefix: Arc::new(OnceLock::new()),
         }
     }
 
@@ -93,6 +100,14 @@ impl Workload {
     pub fn gold_sddmm(&self) -> &[f32] {
         self.gold_sddmm
             .get_or_init(|| reference::sddmm(&self.a, &self.b, &self.c_t))
+    }
+
+    /// The cache-key prefix over `a` and `k` (see [`KeyPrefix`]),
+    /// computed once per workload like the gold outputs.
+    pub(crate) fn key_prefix(&self) -> KeyPrefix {
+        *self
+            .key_prefix
+            .get_or_init(|| KeyPrefix::new(&self.a, self.k))
     }
 }
 

@@ -49,6 +49,7 @@ fn exposition() -> String {
     m.exec_us.observe(30_000);
     m.exec_us.observe(70_000_000); // overflow
     m.sim_cycles.observe(250_000);
+    m.workload_prepares.add(3);
     m.snapshot().to_prometheus()
 }
 

@@ -481,6 +481,54 @@ fn metrics_scrape_reflects_requests_and_cache_traffic() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+fn workload_prepares(client: &mut ServiceClient) -> u64 {
+    let resp = parse(
+        &client
+            .request_line("{\"cmd\":\"metrics\"}")
+            .expect("metrics"),
+    );
+    spade_bench::metrics::MetricsSnapshot::from_json(resp.get("result").expect("result"))
+        .expect("decode snapshot")
+        .counter("spade_workload_prepare_total", &[])
+        .expect("prepare counter")
+}
+
+#[test]
+fn warm_hits_never_prepare_a_workload() {
+    let dir = std::env::temp_dir().join(format!("spade_svc_prepare_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (addr, handle) = spawn_service(test_config(Some(&dir)));
+    let mut client = ServiceClient::connect(&addr).expect("connect");
+    assert_eq!(workload_prepares(&mut client), 0);
+
+    let trace = r#"{"cmd":"trace","benchmark":"myc","k":16,"pes":4,"scale":"tiny","window":64}"#;
+    let search = r#"{"cmd":"search","benchmark":"myc","k":16,"pes":4,"scale":"tiny"}"#;
+    let batch = r#"{"cmd":"batch","k":16,"pes":4,"scale":"tiny","jobs":[{"benchmark":"myc","rp":64},{"benchmark":"pac","kernel":"sddmm"}]}"#;
+    for request in [RUN_MYC, trace, search, batch] {
+        let resp = parse(&client.request_line(request).expect("cold request"));
+        assert_eq!(resp.get("ok").and_then(JsonValue::as_bool), Some(true));
+    }
+    // Every cold miss builds its job from a prepared matrix, at most once
+    // per request per matrix: myc for the run, the trace, the search and
+    // the first batch job; pac once for the second batch job, whose
+    // stamp-filling preparation its own job reuses.
+    assert_eq!(workload_prepares(&mut client), 5);
+
+    for request in [RUN_MYC, trace, search] {
+        let resp = parse(&client.request_line(request).expect("warm request"));
+        assert_eq!(resp.get("cached").and_then(JsonValue::as_bool), Some(true));
+    }
+    let resp = parse(&client.request_line(batch).expect("warm batch"));
+    assert_eq!(batch_count(&resp, "cached"), 2);
+    assert_eq!(
+        workload_prepares(&mut client),
+        5,
+        "a warm hit prepared a workload"
+    );
+    shutdown_and_join(&addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn warm_query_reflects_exactly_the_cached_entries() {
     let dir = std::env::temp_dir().join(format!("spade_svc_query_{}", std::process::id()));

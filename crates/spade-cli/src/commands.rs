@@ -636,7 +636,7 @@ fn search(argv: &[String]) -> Result<(), String> {
     ));
     let pes = system_config.num_pes;
     let config = Arc::new(system_config);
-    let plans = space.enumerate(&a);
+    let plans = space.enumerate(a.num_cols());
     let jobs: Vec<Job> = plans
         .iter()
         .map(|&plan| {

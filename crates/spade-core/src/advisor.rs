@@ -108,7 +108,7 @@ pub fn advise_candidates(
     k: usize,
     system: &SystemConfig,
 ) -> Result<Vec<ExecutionPlan>, SpadeError> {
-    let mut plans = PlanSearchSpace::quick(k).enumerate(a);
+    let mut plans = PlanSearchSpace::quick(k).enumerate(a.num_cols());
     let heuristic = advise(a, k, system)?;
     if !plans.contains(&heuristic) {
         plans.push(heuristic);

@@ -147,13 +147,14 @@ impl PlanSearchSpace {
         self
     }
 
-    /// Enumerates every plan in the space for matrix `a`.
+    /// Enumerates every plan in the space for a matrix of `num_cols`
+    /// columns — the only property of the matrix the space depends on.
     ///
     /// Column panel sizes are clamped to the matrix width, and duplicate
     /// plans (after clamping) are removed.
-    pub fn enumerate(&self, a: &Coo) -> Vec<ExecutionPlan> {
+    pub fn enumerate(&self, num_cols: usize) -> Vec<ExecutionPlan> {
         let mut plans = Vec::new();
-        let ncols = a.num_cols().max(1);
+        let ncols = num_cols.max(1);
         for &rp in &self.row_panels {
             for &cp_raw in &self.col_panels {
                 let cp = cp_raw.min(ncols);
@@ -221,8 +222,7 @@ mod tests {
     fn enumerate_clamps_and_dedups() {
         // A small matrix: all column-panel settings clamp to the same
         // width, so plans collapse.
-        let a = matrix(100);
-        let plans = PlanSearchSpace::table3(32).enumerate(&a);
+        let plans = PlanSearchSpace::table3(32).enumerate(100);
         // 3 RPs × 1 effective CP × 2 rMatrix policies (no barriers since
         // cp == ncols).
         assert_eq!(plans.len(), 6);
@@ -230,8 +230,7 @@ mod tests {
 
     #[test]
     fn enumerate_includes_barrier_variants_for_medium_cp() {
-        let a = matrix(2_000_000);
-        let plans = PlanSearchSpace::table3(32).enumerate(&a);
+        let plans = PlanSearchSpace::table3(32).enumerate(2_000_000);
         let with_barriers = plans.iter().filter(|p| p.barriers.is_enabled()).count();
         // Barriers only for the medium column panel: 3 RPs × 2 policies.
         assert_eq!(with_barriers, 6);
@@ -249,9 +248,8 @@ mod tests {
 
     #[test]
     fn quick_space_is_smaller() {
-        let a = matrix(2_000_000);
-        let quick = PlanSearchSpace::quick(32).enumerate(&a);
-        let full = PlanSearchSpace::table3(32).enumerate(&a);
+        let quick = PlanSearchSpace::quick(32).enumerate(2_000_000);
+        let full = PlanSearchSpace::table3(32).enumerate(2_000_000);
         assert!(quick.len() < full.len());
         assert!(!quick.is_empty());
     }

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
 
         let mut results: Vec<(ExecutionPlan, u64)> = Vec::new();
-        for plan in space.enumerate(&a) {
+        for plan in space.enumerate(a.num_cols()) {
             let mut sys = SpadeSystem::new(system_config.clone());
             let run = sys.run_spmm(&a, &b, &plan)?;
             results.push((plan, run.report.cycles));

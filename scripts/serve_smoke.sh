@@ -61,11 +61,20 @@ REQ='{"cmd":"run","benchmark":"myc","k":16,"pes":4,"scale":"tiny"}'
 COLD=$(client "$REQ")
 case "$COLD" in *'"cached":false'*) ;; *) fail "cold run not fresh: $COLD" ;; esac
 
+prepares() {
+  "$CLI" client metrics --addr "$ADDR" --prom | sed -n 's/^spade_workload_prepare_total //p'
+}
+PREPARED=$(prepares) || fail "prom render failed"
+[ -n "$PREPARED" ] || fail "no spade_workload_prepare_total series"
+
 echo "== warm run (must hit the cache, byte-identical result)"
 WARM=$(client "$REQ")
 case "$WARM" in *'"cached":true'*) ;; *) fail "warm run not cached: $WARM" ;; esac
 # Everything after "result": must match byte for byte.
 [ "${COLD#*\"result\":}" = "${WARM#*\"result\":}" ] || fail "cache hit diverged from fresh run"
+# A warm hit is answered from the daemon's matrix stamp: no workload
+# (matrix and dense operands) is prepared for it.
+[ "$(prepares)" = "$PREPARED" ] || fail "warm hit prepared a workload ($PREPARED -> $(prepares))"
 
 echo "== metrics scrape (request and cache counters must be live)"
 METRICS_OUT=${METRICS_OUT:-/tmp/spade_serve_metrics.json}
