@@ -5,15 +5,8 @@
 //! each run's `sim_cycles_per_host_sec`. Both drivers produce bit-identical
 //! simulated results (checked here report-for-report on every invocation),
 //! so the only difference worth recording is how fast the host produced
-//! them.
-//!
-//! The harness also carries the **memory microbenchmark**: synthetic
-//! access streams driven straight into a bench-scale [`MemorySystem`],
-//! once with the filtered fast path and once with it forced off, recording
-//! hierarchy accesses per host second and the filter hit rates. The two
-//! runs are asserted identical (per-access completion-cycle checksum plus
-//! full `MemStats` equality) on every invocation, so the numbers can never
-//! drift away from the equivalence guarantee they advertise.
+//! them. Every run is timed alone on one worker, so an event job never
+//! shares the host with its naive twin.
 //!
 //! The JSON document this module emits is committed as `BENCH_sim.json`,
 //! the repository's simulator-performance trajectory: re-run it after
@@ -23,9 +16,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use spade_core::{JsonValue, Primitive, SystemConfig};
-use spade_matrix::generators::{Benchmark, Scale};
-use spade_matrix::rng::Rng64;
-use spade_sim::{AccessPath, Cycle, DataClass, Line, MemorySystem, LINE_BYTES};
+use spade_matrix::generators::Scale;
 
 use crate::machines;
 use crate::parallel::{Job, ParallelRunner};
@@ -60,292 +51,6 @@ impl PerfRow {
     }
 }
 
-/// One memory-microbenchmark measurement: the same synthetic access
-/// stream driven through a bench-scale hierarchy with the filtered fast
-/// path enabled and then forced off. The two runs are checked identical
-/// before the row is produced.
-#[derive(Debug, Clone)]
-pub struct MemBenchRow {
-    /// Stream shape (one of [`MEM_PATTERNS`]).
-    pub pattern: &'static str,
-    /// Accesses issued per run.
-    pub accesses: u64,
-    /// Hierarchy accesses per host second with the fast path on.
-    pub fast_aps: f64,
-    /// Hierarchy accesses per host second with the fast path forced off.
-    pub slow_aps: f64,
-    /// Fraction of accesses answered by the per-requester line filter.
-    pub line_filter_rate: f64,
-    /// Fraction of accesses that reused the latched STLB translation.
-    pub page_reuse_rate: f64,
-}
-
-impl MemBenchRow {
-    /// Fast-path over slow-path host throughput; zero if the slow rate is
-    /// unmeasurable.
-    pub fn speedup(&self) -> f64 {
-        if self.slow_aps > 0.0 {
-            self.fast_aps / self.slow_aps
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The synthetic access-stream shapes the memory microbenchmark drives:
-/// `stream` (per-agent sequential bursts — translation-reuse friendly),
-/// `repeat` (short same-line bursts — line-filter friendly), `stride`
-/// (page-crossing jumps — every filter misses, measuring pure overhead)
-/// and `mixed` (seeded random agents/lines/paths/writes).
-pub const MEM_PATTERNS: [&str; 4] = ["stream", "repeat", "stride", "mixed"];
-
-/// One synthetic access: (agent, line, path, class, is_write).
-type MemOp = (usize, Line, AccessPath, DataClass, bool);
-
-/// Builds the deterministic op stream for `pattern` (see [`MEM_PATTERNS`]).
-fn mem_ops_for(pattern: &str, agents: usize, page_lines: u64, ops: u64) -> Vec<MemOp> {
-    let mut out = Vec::with_capacity(ops as usize);
-    // Keep agents' working sets far apart so streams never alias.
-    let region = |agent: usize| agent as u64 * (1 << 32);
-    match pattern {
-        // 64-line sequential bursts per agent: consecutive lines share a
-        // page, so the translation latch answers nearly every access.
-        "stream" => {
-            for i in 0..ops {
-                let agent = ((i / 64) % agents as u64) as usize;
-                let seq = i / (64 * agents as u64) * 64 + i % 64;
-                out.push((
-                    agent,
-                    region(agent) + seq,
-                    AccessPath::Cached,
-                    DataClass::CMatrix,
-                    false,
-                ));
-            }
-        }
-        // 16 back-to-back touches of the same line per agent before
-        // advancing: the line filter answers the 15 repeats.
-        "repeat" => {
-            for i in 0..ops {
-                let agent = ((i / 16) % agents as u64) as usize;
-                let seq = i / (16 * agents as u64);
-                let write = i % 16 == 7;
-                out.push((
-                    agent,
-                    region(agent) + seq,
-                    AccessPath::Cached,
-                    DataClass::RMatrix,
-                    write,
-                ));
-            }
-        }
-        // Every access jumps a full page on one agent: both filters miss
-        // every time, so this measures the fast path's added overhead.
-        "stride" => {
-            for i in 0..ops {
-                out.push((
-                    0,
-                    i * page_lines,
-                    AccessPath::Cached,
-                    DataClass::SparseIn,
-                    false,
-                ));
-            }
-        }
-        // Seeded random agents, lines, paths and writes.
-        "mixed" => {
-            let mut rng = Rng64::seed_from_u64(0x5bad_cafe);
-            for _ in 0..ops {
-                let agent = rng.bounded(agents as u64) as usize;
-                let line = region(agent) + rng.bounded(4 * page_lines);
-                let path = match rng.bounded(5) {
-                    0 => AccessPath::Bypass,
-                    1 => AccessPath::BypassVictim,
-                    _ => AccessPath::Cached,
-                };
-                let class = match rng.bounded(4) {
-                    0 => DataClass::SparseIn,
-                    1 => DataClass::SparseOut,
-                    2 => DataClass::RMatrix,
-                    _ => DataClass::CMatrix,
-                };
-                out.push((agent, line, path, class, rng.gen_bool(0.25)));
-            }
-        }
-        other => panic!("unknown memory pattern {other:?}"),
-    }
-    out
-}
-
-/// Issues `ops` into `mem` one cycle apart and returns an FNV-1a checksum
-/// over every completion cycle — any behavioral divergence between two
-/// runs of the same stream changes the checksum.
-fn drive_mem(mem: &mut MemorySystem, ops: &[MemOp]) -> u64 {
-    let mut checksum: u64 = 0xcbf2_9ce4_8422_2325;
-    for (now, &(agent, line, path, class, is_write)) in (0 as Cycle..).zip(ops) {
-        let done = if is_write {
-            mem.write(agent, line, path, class, now)
-        } else {
-            mem.read(agent, line, path, class, now)
-        };
-        checksum = (checksum ^ done).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    checksum
-}
-
-/// Runs the memory microbenchmark at the bench SPADE machine's hierarchy
-/// geometry: each pattern in [`MEM_PATTERNS`] is driven twice — fast path
-/// on, then forced off — over `ops_per_pattern` accesses, and the runs
-/// must agree on every completion cycle and the full statistics block.
-///
-/// Returns no rows when `ops_per_pattern` is zero (microbench disabled).
-///
-/// # Errors
-///
-/// Returns a message if the fast and slow runs diverge on the
-/// completion-cycle checksum or on `MemStats` — the bit-identity
-/// guarantee the fast path is built on.
-pub fn mem_microbench(pes: usize, ops_per_pattern: u64) -> Result<Vec<MemBenchRow>, String> {
-    if ops_per_pattern == 0 {
-        return Ok(Vec::new());
-    }
-    let cfg = machines::spade_system(pes);
-    let page_lines = (cfg.mem.stlb.page_bytes / LINE_BYTES).max(1);
-    let mut rows = Vec::new();
-    for pattern in MEM_PATTERNS {
-        let stream = mem_ops_for(pattern, cfg.mem.num_agents, page_lines, ops_per_pattern);
-
-        let mut fast = MemorySystem::new(cfg.mem.clone());
-        fast.set_fast_path(true);
-        let start = Instant::now();
-        let fast_sum = drive_mem(&mut fast, &stream);
-        let fast_secs = start.elapsed().as_secs_f64().max(1e-9);
-
-        let mut slow = MemorySystem::new(cfg.mem.clone());
-        slow.set_fast_path(false);
-        let start = Instant::now();
-        let slow_sum = drive_mem(&mut slow, &stream);
-        let slow_secs = start.elapsed().as_secs_f64().max(1e-9);
-
-        if fast_sum != slow_sum {
-            return Err(format!(
-                "memory fast path diverged on {pattern}: completion checksum \
-                 {fast_sum:#x} (fast) vs {slow_sum:#x} (slow)"
-            ));
-        }
-        if fast.stats() != slow.stats() {
-            return Err(format!(
-                "memory fast path diverged on {pattern}: MemStats differ \
-                 between fast and slow runs"
-            ));
-        }
-        let n = stream.len() as u64;
-        rows.push(MemBenchRow {
-            pattern,
-            accesses: n,
-            fast_aps: n as f64 / fast_secs,
-            slow_aps: n as f64 / slow_secs,
-            line_filter_rate: fast.filter_line_hits() as f64 / n as f64,
-            page_reuse_rate: fast.filter_page_hits() as f64 / n as f64,
-        });
-    }
-    Ok(rows)
-}
-
-/// One sharded-driver measurement: the same simulation at a given host
-/// shard count, with the throughput it achieved. The report is checked
-/// bit-identical to the 1-shard run before the row is produced.
-#[derive(Debug, Clone)]
-pub struct ShardRow {
-    /// Host shards the run was partitioned into (after cluster clamping).
-    pub shards: u32,
-    /// Simulated cycles (identical across shard counts by construction).
-    pub cycles: u64,
-    /// Simulated cycles per host second at this shard count.
-    pub cps: f64,
-    /// Per-shard busy wall nanoseconds, for attributing imbalance.
-    pub shard_wall_ns: Vec<f64>,
-}
-
-impl ShardRow {
-    /// This row's throughput over the given 1-shard baseline; zero if the
-    /// baseline is unmeasurable.
-    pub fn speedup_over(&self, baseline_cps: f64) -> f64 {
-        if baseline_cps > 0.0 {
-            self.cps / baseline_cps
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The shard counts the shard-scaling bench sweeps by default.
-pub const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Runs the shard-scaling bench: one fig12-style high-reuse workload
-/// (`kron_g500`, the suite's most parallel-friendly graph) simulated once
-/// per entry of `shard_counts` under the sharded driver, on the calling
-/// thread so wall times are uncontended. The PE count is raised to at
-/// least four clusters so a 4-shard split actually exists. Every run's
-/// report must be bit-identical to the 1-shard run — the bench doubles as
-/// an equivalence check on each invocation, like [`measure`] and
-/// [`mem_microbench`].
-///
-/// Returns no rows when `shard_counts` is empty (shard bench disabled).
-///
-/// # Errors
-///
-/// Returns a message if any simulation fails or any shard count's report
-/// diverges from the 1-shard baseline.
-pub fn shard_bench(
-    pes: usize,
-    scale: Scale,
-    k: usize,
-    shard_counts: &[usize],
-) -> Result<Vec<ShardRow>, String> {
-    if shard_counts.is_empty() {
-        return Ok(Vec::new());
-    }
-    let probe = machines::spade_system(pes);
-    let min_pes = 4 * probe.mem.agents_per_cluster;
-    let cfg = Arc::new(if pes >= min_pes {
-        probe
-    } else {
-        machines::spade_system(min_pes)
-    });
-    let w = Arc::new(Workload::prepare(Benchmark::Kro, scale, k));
-    let mut rows: Vec<ShardRow> = Vec::new();
-    let mut baseline: Option<spade_core::RunReport> = None;
-    for &s in shard_counts {
-        let job = Job::new(&w, &cfg, Primitive::Spmm, machines::base_plan(&w.a))
-            .with_shards(Some(s.max(1)));
-        let report = job.try_execute().map_err(|e| e.to_string())?;
-        if let Some(base) = &baseline {
-            if &report != base {
-                return Err(format!(
-                    "sharded driver diverged at {s} shards: {} cycles vs {} at 1 shard",
-                    report.cycles, base.cycles
-                ));
-            }
-        } else if s == 1 {
-            baseline = Some(report.clone());
-        }
-        rows.push(ShardRow {
-            shards: report.shards,
-            cycles: report.cycles,
-            cps: report.sim_cycles_per_host_sec(),
-            shard_wall_ns: report.shard_wall_ns.clone(),
-        });
-        if baseline.is_none() {
-            return Err(format!(
-                "shard bench must start with 1 shard to establish the \
-                 equivalence baseline, got {s}"
-            ));
-        }
-    }
-    Ok(rows)
-}
-
 /// A complete `bench-perf` result: the per-row measurements plus the
 /// context needed to reproduce them.
 #[derive(Debug, Clone)]
@@ -356,21 +61,8 @@ pub struct PerfSummary {
     pub k: usize,
     /// SPADE PE count.
     pub pes: usize,
-    /// Worker threads the sweep ran on.
-    pub threads: usize,
     /// One row per (workload, primitive).
     pub rows: Vec<PerfRow>,
-    /// Accesses per pattern in the memory microbenchmark (zero disables it).
-    pub mem_ops: u64,
-    /// One row per memory-microbenchmark pattern.
-    pub mem_rows: Vec<MemBenchRow>,
-    /// Host cores available to this process when the shard bench ran —
-    /// the context a shard-speedup gate needs to decide whether a missed
-    /// target means a regression or just a small machine.
-    pub host_cores: usize,
-    /// One row per shard count in the shard-scaling bench (empty when it
-    /// was disabled).
-    pub shard_rows: Vec<ShardRow>,
 }
 
 impl PerfSummary {
@@ -389,60 +81,6 @@ impl PerfSummary {
     /// Geometric-mean naive-loop throughput.
     pub fn geomean_naive_cps(&self) -> f64 {
         geomean(&self.rows.iter().map(|r| r.naive_cps).collect::<Vec<_>>())
-    }
-
-    /// Geometric-mean fast-path over slow-path speedup across the memory
-    /// microbenchmark patterns (zero when the microbench was disabled).
-    pub fn geomean_mem_speedup(&self) -> f64 {
-        geomean(
-            &self
-                .mem_rows
-                .iter()
-                .map(MemBenchRow::speedup)
-                .collect::<Vec<_>>(),
-        )
-    }
-
-    /// Geometric-mean fast-path hierarchy throughput (accesses per host
-    /// second) across the microbenchmark patterns.
-    pub fn geomean_mem_fast_aps(&self) -> f64 {
-        geomean(&self.mem_rows.iter().map(|r| r.fast_aps).collect::<Vec<_>>())
-    }
-
-    /// Geometric-mean slow-path hierarchy throughput.
-    pub fn geomean_mem_slow_aps(&self) -> f64 {
-        geomean(&self.mem_rows.iter().map(|r| r.slow_aps).collect::<Vec<_>>())
-    }
-
-    /// Host throughput of the 1-shard row of the shard bench (zero when
-    /// the bench was disabled or has no 1-shard row).
-    pub fn shard_baseline_cps(&self) -> f64 {
-        self.shard_rows
-            .iter()
-            .find(|r| r.shards == 1)
-            .map_or(0.0, |r| r.cps)
-    }
-
-    /// Speedup of the highest-shard-count row over the 1-shard baseline —
-    /// the number the `--gate-shard-speedup` CI gate checks. Zero when the
-    /// shard bench was disabled or never scaled past one shard.
-    ///
-    /// Rows with more shards than the host has cores are *undersubscribed*
-    /// — their threads time-slice instead of running in parallel, so their
-    /// "speedup" measures the host, not the sharded driver — and are
-    /// excluded here (they still appear in the JSON rows, flagged).
-    pub fn max_shard_speedup(&self) -> f64 {
-        let base = self.shard_baseline_cps();
-        self.shard_rows
-            .iter()
-            .filter(|r| r.shards > 1 && !self.undersubscribed(r))
-            .max_by_key(|r| r.shards)
-            .map_or(0.0, |r| r.speedup_over(base))
-    }
-
-    /// `true` when `row` ran with more shards than the host has cores.
-    fn undersubscribed(&self, row: &ShardRow) -> bool {
-        row.shards as usize > self.host_cores
     }
 
     /// The summary as the `BENCH_sim.json` document.
@@ -466,7 +104,6 @@ impl PerfSummary {
             ("scale", format!("{:?}", self.scale).to_lowercase().into()),
             ("k", self.k.into()),
             ("pes", self.pes.into()),
-            ("threads", self.threads.into()),
             ("geomean_speedup", self.geomean_speedup().into()),
             (
                 "geomean_event_sim_cycles_per_host_sec",
@@ -477,74 +114,15 @@ impl PerfSummary {
                 self.geomean_naive_cps().into(),
             ),
             ("workloads", JsonValue::Array(rows)),
-            ("mem_microbench", self.mem_json()),
-            ("sim_shard", self.shard_json()),
-        ])
-    }
-
-    /// The `"sim_shard"` section of the JSON document.
-    fn shard_json(&self) -> JsonValue {
-        let base = self.shard_baseline_cps();
-        let rows: Vec<JsonValue> = self
-            .shard_rows
-            .iter()
-            .map(|r| {
-                JsonValue::object([
-                    ("shards", r.shards.into()),
-                    ("cycles", r.cycles.into()),
-                    ("sim_cycles_per_host_sec", r.cps.into()),
-                    ("speedup", r.speedup_over(base).into()),
-                    ("undersubscribed", self.undersubscribed(r).into()),
-                    (
-                        "shard_wall_ns",
-                        JsonValue::Array(r.shard_wall_ns.iter().map(|&w| w.into()).collect()),
-                    ),
-                ])
-            })
-            .collect();
-        JsonValue::object([
-            ("host_cores", self.host_cores.into()),
-            ("max_shard_speedup", self.max_shard_speedup().into()),
-            ("rows", JsonValue::Array(rows)),
-        ])
-    }
-
-    /// The `"mem_microbench"` section of the JSON document.
-    fn mem_json(&self) -> JsonValue {
-        let patterns: Vec<JsonValue> = self
-            .mem_rows
-            .iter()
-            .map(|r| {
-                JsonValue::object([
-                    ("pattern", JsonValue::from(r.pattern)),
-                    ("accesses", r.accesses.into()),
-                    ("fast_accesses_per_host_sec", r.fast_aps.into()),
-                    ("slow_accesses_per_host_sec", r.slow_aps.into()),
-                    ("speedup", r.speedup().into()),
-                    ("line_filter_rate", r.line_filter_rate.into()),
-                    ("page_reuse_rate", r.page_reuse_rate.into()),
-                ])
-            })
-            .collect();
-        JsonValue::object([
-            ("ops_per_pattern", self.mem_ops.into()),
-            ("geomean_speedup", self.geomean_mem_speedup().into()),
-            (
-                "geomean_fast_accesses_per_host_sec",
-                self.geomean_mem_fast_aps().into(),
-            ),
-            (
-                "geomean_slow_accesses_per_host_sec",
-                self.geomean_mem_slow_aps().into(),
-            ),
-            ("patterns", JsonValue::Array(patterns)),
         ])
     }
 }
 
 /// Measures every (workload, primitive) pair under both drivers and checks
 /// that each pair's simulated reports are identical (`RunReport` equality
-/// ignores host wall clock — everything simulated must match).
+/// ignores host wall clock — everything simulated must match). The jobs
+/// run one at a time, so each timing is taken on an otherwise idle worker
+/// and the event/naive ratio compares like with like.
 ///
 /// # Errors
 ///
@@ -555,7 +133,6 @@ pub fn measure(
     workloads: &[Arc<Workload>],
     config: &Arc<SystemConfig>,
     primitives: &[Primitive],
-    runner: &ParallelRunner,
 ) -> Result<Vec<PerfRow>, String> {
     let mut jobs = Vec::new();
     for w in workloads {
@@ -564,7 +141,7 @@ pub fn measure(
             jobs.push(Job::new(w, config, p, machines::base_plan(&w.a)).with_naive_loop(true));
         }
     }
-    let results = runner.run_results(&jobs);
+    let results = ParallelRunner::new(1).run_results(&jobs);
     let mut rows = Vec::new();
     for (pair, job) in results.chunks_exact(2).zip(jobs.chunks_exact(2)) {
         let event = pair[0].as_ref().map_err(|e| e.to_string())?;
@@ -586,53 +163,25 @@ pub fn measure(
     Ok(rows)
 }
 
-/// Runs the full Figure 9 suite (both kernels) at `scale`, plus the
-/// memory microbenchmark at `mem_ops` accesses per pattern and the
-/// shard-scaling bench over `shard_counts`, and returns the summary ready
-/// to serialize as `BENCH_sim.json`. Passing `mem_ops == 0` skips the
-/// microbench; an empty `shard_counts` skips the shard bench.
+/// Runs the full Figure 9 suite (both kernels) at `scale` and returns the
+/// summary ready to serialize as `BENCH_sim.json`.
 ///
 /// # Errors
 ///
-/// See [`measure`], [`mem_microbench`] and [`shard_bench`].
-pub fn run_suite_perf(
-    scale: Scale,
-    k: usize,
-    pes: usize,
-    mem_ops: u64,
-    shard_counts: &[usize],
-    runner: &ParallelRunner,
-) -> Result<PerfSummary, String> {
+/// See [`measure`].
+pub fn run_suite_perf(scale: Scale, k: usize, pes: usize) -> Result<PerfSummary, String> {
     let workloads: Vec<Arc<Workload>> = Workload::suite(scale, k)
         .into_iter()
         .map(Arc::new)
         .collect();
     let config = Arc::new(machines::spade_system(pes));
-    let rows = measure(
-        &workloads,
-        &config,
-        &[Primitive::Spmm, Primitive::Sddmm],
-        runner,
-    )?;
-    let mem_rows = mem_microbench(pes, mem_ops)?;
-    let shard_rows = shard_bench(pes, scale, k, shard_counts)?;
+    let rows = measure(&workloads, &config, &[Primitive::Spmm, Primitive::Sddmm])?;
     Ok(PerfSummary {
         scale,
         k,
         pes,
-        threads: runner.threads(),
         rows,
-        mem_ops,
-        mem_rows,
-        host_cores: host_cores(),
-        shard_rows,
     })
-}
-
-/// Host cores available to this process (1 when undetectable) — recorded
-/// in the summary and consulted by the shard-speedup gate.
-pub fn host_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// One benchmark's advise measurement: selection latency of the tiered
@@ -908,7 +457,7 @@ mod tests {
     fn both_drivers_agree_and_produce_throughput() {
         let w = Arc::new(Workload::prepare(Benchmark::Myc, Scale::Tiny, 32));
         let cfg = Arc::new(machines::spade_system(4));
-        let rows = measure(&[w], &cfg, &[Primitive::Spmm], &ParallelRunner::new(1)).unwrap();
+        let rows = measure(&[w], &cfg, &[Primitive::Spmm]).unwrap();
         assert_eq!(rows.len(), 1);
         assert!(rows[0].cycles > 0);
         assert!(rows[0].event_cps > 0.0);
@@ -921,7 +470,6 @@ mod tests {
             scale: Scale::Tiny,
             k: 32,
             pes: 4,
-            threads: 1,
             rows: vec![PerfRow {
                 workload: "myc".into(),
                 primitive: Primitive::Spmm,
@@ -929,99 +477,13 @@ mod tests {
                 event_cps: 4.0e6,
                 naive_cps: 2.0e6,
             }],
-            mem_ops: 100,
-            mem_rows: vec![MemBenchRow {
-                pattern: "repeat",
-                accesses: 100,
-                fast_aps: 3.0e6,
-                slow_aps: 1.0e6,
-                line_filter_rate: 0.9,
-                page_reuse_rate: 0.95,
-            }],
-            host_cores: 8,
-            shard_rows: vec![
-                ShardRow {
-                    shards: 1,
-                    cycles: 1000,
-                    cps: 1.0e6,
-                    shard_wall_ns: vec![500.0],
-                },
-                ShardRow {
-                    shards: 4,
-                    cycles: 1000,
-                    cps: 2.5e6,
-                    shard_wall_ns: vec![100.0, 110.0, 120.0, 130.0],
-                },
-            ],
         };
         assert!((summary.geomean_speedup() - 2.0).abs() < 1e-12);
-        assert!((summary.geomean_mem_speedup() - 3.0).abs() < 1e-12);
-        assert!((summary.max_shard_speedup() - 2.5).abs() < 1e-12);
         let text = summary.to_json().render();
         assert_eq!(spade_sim::json::validate(&text), Ok(()));
         assert!(text.contains("\"geomean_speedup\""));
         assert!(text.contains("\"event_sim_cycles_per_host_sec\""));
         assert!(text.contains("\"scale\":\"tiny\""));
-        assert!(text.contains("\"mem_microbench\""));
-        assert!(text.contains("\"line_filter_rate\""));
-        assert!(text.contains("\"pattern\":\"repeat\""));
-        assert!(text.contains("\"sim_shard\""));
-        assert!(text.contains("\"host_cores\":8"));
-        assert!(text.contains("\"max_shard_speedup\""));
-        assert!(text.contains("\"shards\":4"));
-    }
-
-    #[test]
-    fn undersubscribed_shard_rows_are_flagged_and_excluded() {
-        // A 1-core host "measuring" 4-shard speedup is measuring its own
-        // time-slicing; the row must be flagged and must not become
-        // max_shard_speedup.
-        let summary = PerfSummary {
-            scale: Scale::Tiny,
-            k: 32,
-            pes: 4,
-            threads: 1,
-            rows: Vec::new(),
-            mem_ops: 0,
-            mem_rows: Vec::new(),
-            host_cores: 1,
-            shard_rows: vec![
-                ShardRow {
-                    shards: 1,
-                    cycles: 1000,
-                    cps: 1.0e6,
-                    shard_wall_ns: Vec::new(),
-                },
-                ShardRow {
-                    shards: 2,
-                    cycles: 1000,
-                    cps: 0.2e6,
-                    shard_wall_ns: vec![100.0, 100.0],
-                },
-                ShardRow {
-                    shards: 4,
-                    cycles: 1000,
-                    cps: 0.14e6,
-                    shard_wall_ns: vec![100.0; 4],
-                },
-            ],
-        };
-        // Every >1-shard row is undersubscribed on a 1-core host, so no
-        // row qualifies: the headline metric is 0, not a bogus 0.14x.
-        assert_eq!(summary.max_shard_speedup(), 0.0);
-        let text = summary.to_json().render();
-        assert!(text.contains("\"undersubscribed\":true"));
-        assert!(text.contains("\"max_shard_speedup\":0"));
-        // On an 8-core host the same rows count again.
-        let wide = PerfSummary {
-            host_cores: 8,
-            ..summary
-        };
-        assert!((wide.max_shard_speedup() - 0.14).abs() < 1e-12);
-        assert!(wide
-            .to_json()
-            .render()
-            .contains("\"undersubscribed\":false"));
     }
 
     #[test]
@@ -1057,31 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_bench_rows_are_equivalent_and_measured() {
-        let rows = shard_bench(8, Scale::Tiny, 16, &[1, 2]).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].shards, 1);
-        assert_eq!(rows[1].shards, 2);
-        // Bit-identity across shard counts is asserted inside shard_bench;
-        // the cycles columns agreeing is the visible consequence.
-        assert_eq!(rows[0].cycles, rows[1].cycles);
-        assert!(rows.iter().all(|r| r.cps > 0.0));
-        assert!(rows[0].shard_wall_ns.is_empty());
-        assert_eq!(rows[1].shard_wall_ns.len(), 2);
-    }
-
-    #[test]
-    fn shard_bench_requires_a_one_shard_baseline() {
-        let err = shard_bench(8, Scale::Tiny, 16, &[2, 4]).unwrap_err();
-        assert!(err.contains("baseline"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn empty_shard_counts_disable_the_shard_bench() {
-        assert!(shard_bench(8, Scale::Tiny, 16, &[]).unwrap().is_empty());
-    }
-
-    #[test]
     fn zero_naive_rate_yields_zero_speedup() {
         let row = PerfRow {
             workload: "x".into(),
@@ -1091,39 +528,5 @@ mod tests {
             naive_cps: 0.0,
         };
         assert_eq!(row.speedup(), 0.0);
-    }
-
-    #[test]
-    fn mem_microbench_patterns_engage_their_filters() {
-        let rows = mem_microbench(4, 2_000).unwrap();
-        assert_eq!(rows.len(), MEM_PATTERNS.len());
-        for row in &rows {
-            assert_eq!(row.accesses, 2_000);
-            assert!(row.fast_aps > 0.0 && row.slow_aps > 0.0);
-            assert!((0.0..=1.0).contains(&row.line_filter_rate));
-            assert!((0.0..=1.0).contains(&row.page_reuse_rate));
-        }
-        let by_name = |n: &str| rows.iter().find(|r| r.pattern == n).unwrap();
-        // Sequential bursts reuse the latched translation almost always.
-        assert!(by_name("stream").page_reuse_rate > 0.5);
-        // Same-line bursts hit the line filter on 15 of every 16 accesses.
-        assert!(by_name("repeat").line_filter_rate > 0.5);
-        // Page-per-access strides defeat both filters entirely.
-        assert_eq!(by_name("stride").line_filter_rate, 0.0);
-        assert_eq!(by_name("stride").page_reuse_rate, 0.0);
-    }
-
-    #[test]
-    fn mem_microbench_zero_ops_disables_it() {
-        assert!(mem_microbench(4, 0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn mem_streams_are_deterministic() {
-        for pattern in MEM_PATTERNS {
-            let a = mem_ops_for(pattern, 4, 64, 500);
-            let b = mem_ops_for(pattern, 4, 64, 500);
-            assert_eq!(a, b, "{pattern} stream not reproducible");
-        }
     }
 }

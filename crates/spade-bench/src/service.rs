@@ -33,9 +33,8 @@
 //!   [`ResultCache`] keyed by [`Job::cache_key`] — content-addressed, so
 //!   the same experiment hits across restarts and processes. Cache hits
 //!   are byte-identical to a fresh simulation because response payloads
-//!   are *canonical*: `host_wall_ns`, `shards` and `shard_wall_ns` — host
-//!   properties, excluded from [`RunReport`] equality — are normalized
-//!   before rendering.
+//!   are *canonical*: `host_wall_ns` — a host property, excluded from
+//!   [`RunReport`] equality — is zeroed before rendering.
 //! * **Matrix-free hits.** Each daemon keeps a stamp per (benchmark,
 //!   scale, k) it has prepared — the matrix width and the memoized key
 //!   prefix over its triplets — so a request is keyed and
@@ -2152,16 +2151,14 @@ pub fn plan_json(p: &ExecutionPlan) -> JsonValue {
     ])
 }
 
-/// A report with its host-execution fields normalized: wall-clock times
-/// and shard layout describe the serving host, not the simulated
-/// machine (they are already excluded from [`RunReport`] equality), so
-/// the daemon zeroes them. This is what makes a cache hit byte-identical
+/// A report with its host-execution field normalized: the wall-clock
+/// time describes the serving host, not the simulated machine (it is
+/// already excluded from [`RunReport`] equality), so the daemon zeroes
+/// it. This is what makes a cache hit byte-identical
 /// to a fresh simulation of the same request.
 pub fn canonical_report(report: &RunReport) -> RunReport {
     let mut canon = report.clone();
     canon.host_wall_ns = 0.0;
-    canon.shards = 1;
-    canon.shard_wall_ns = Vec::new();
     canon
 }
 

@@ -9,7 +9,9 @@ use std::sync::Arc;
 use spade_bench::machines;
 use spade_bench::parallel::{Job, JobOutput, ParallelRunner};
 use spade_bench::suite::Workload;
-use spade_core::{ExecutionPlan, Primitive, SystemConfig};
+use spade_core::{
+    BarrierPolicy, CMatrixPolicy, ExecutionPlan, Primitive, RMatrixPolicy, SystemConfig,
+};
 use spade_matrix::generators::{Benchmark, Scale};
 use spade_sim::FaultConfig;
 
@@ -31,17 +33,35 @@ fn observable_bytes(o: &JobOutput) -> (String, String) {
 }
 
 /// Builds paired (event, naive) observed jobs for a fig9 subset on the
-/// given machine config.
+/// given machine config, plus MYC and KRO on a 16-PE machine with a
+/// barrier after every column panel, so barrier releases and
+/// barrier-blocked PEs are part of the compared schedule.
 fn paired_jobs(cfg: &Arc<SystemConfig>) -> Vec<Job> {
+    let barrier_cfg = Arc::new(machines::spade_system(16));
     let mut jobs = Vec::new();
     for benchmark in [Benchmark::Myc, Benchmark::Kro, Benchmark::Roa] {
         let w = Arc::new(Workload::prepare(benchmark, Scale::Tiny, 32));
         for primitive in [Primitive::Spmm, Primitive::Sddmm] {
-            let base = Job::new(&w, cfg, primitive, machines::base_plan(&w.a))
-                .with_telemetry(Some(128))
-                .with_trace(true);
-            jobs.push(base.clone());
-            jobs.push(base.with_naive_loop(true));
+            let mut variants = vec![(cfg, machines::base_plan(&w.a))];
+            if benchmark != Benchmark::Roa {
+                // Four column panels, so three barriers per run.
+                let plan = ExecutionPlan::with_knobs(
+                    8,
+                    w.a.num_cols().div_ceil(4),
+                    RMatrixPolicy::Cache,
+                    CMatrixPolicy::Cache,
+                    BarrierPolicy::per_column_panel(),
+                )
+                .unwrap();
+                variants.push((&barrier_cfg, plan));
+            }
+            for (machine, plan) in variants {
+                let base = Job::new(&w, machine, primitive, plan)
+                    .with_telemetry(Some(128))
+                    .with_trace(true);
+                jobs.push(base.clone());
+                jobs.push(base.with_naive_loop(true));
+            }
         }
     }
     jobs
@@ -83,6 +103,10 @@ fn drivers_agree_on_reports_telemetry_and_traces_across_thread_counts() {
         .map(|r| r.expect("job failed"))
         .collect();
     assert_pairs_identical(&jobs, &serial);
+    assert!(
+        serial.iter().any(|o| o.report.num_barriers > 0),
+        "no paired job exercised a scheduling barrier"
+    );
     // Same check through the multi-worker engine, and the engine itself
     // must be invisible: each slot byte-identical to the serial run.
     for threads in [2, 4] {

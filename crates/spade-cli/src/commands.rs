@@ -28,15 +28,14 @@ pub const USAGE: &str = "usage:
                    [--pes 56] [--scale tiny|small|default|large]
                    [--rp N] [--cp N|all] [--rmatrix cache|bypass|victim]
                    [--barriers] [--format json|text] [--telemetry <window>]
-                   [--shards N] [--deadline-cycles N]
+                   [--deadline-cycles N]
   spade-cli trace  <name> [--kernel spmm|sddmm] [--k 32] [--pes 56]
                    [--scale ...] [--window 256] [--out <file.trace.json>]
-                   [--shards N]
   spade-cli advise --benchmark <name> [--k 32] [--pes 56] [--scale ...]
                    [--fast|--exact] [--model FILE] [--top-n 5] [--exhaustive]
                    [--format json|text]
   spade-cli search --benchmark <name> [--k 32] [--pes 56] [--scale ...] [--full]
-                   [--format json|text] [--telemetry <window>] [--shards N]
+                   [--format json|text] [--telemetry <window>]
                    [--deadline-cycles N]
   spade-cli mm     --file <matrix.mtx> [--k 32] [--pes 56] [--format json|text]
   spade-cli serve  [--addr 127.0.0.1:7700] [--cache-dir DIR] [--workers N]
@@ -62,8 +61,7 @@ pub const USAGE: &str = "usage:
   spade-cli client best-plans --addr <host:port> [query filters as above]
                    [--format json|text]
   spade-cli bench-perf [--scale tiny|small|default|large] [--k 32] [--pes 56]
-                   [--mem-ops 200000] [--gate-speedup X] [--gate-mem-speedup X]
-                   [--shards 4] [--gate-shard-speedup X] [--out BENCH_sim.json]
+                   [--gate-speedup X] [--out BENCH_sim.json]
   spade-cli client advise --addr <host:port> --benchmark <name> [--k 32]
                    [--pes 56] [--scale ...] [--format json|text]
   spade-cli dataset export --cache-dir DIR [--out FILE]
@@ -148,24 +146,6 @@ fn parse_telemetry(args: &Args) -> Result<Option<Cycle>, String> {
                 return Err("--telemetry: window must be at least one cycle".into());
             }
             Ok(Some(w))
-        }
-    }
-}
-
-/// Parses `--shards <n>`: how many host shards to split the simulation
-/// across. `None` inherits `SPADE_SIM_SHARDS` (default 1); results are
-/// bit-identical at every shard count.
-fn parse_shards(args: &Args) -> Result<Option<usize>, String> {
-    match args.get("shards") {
-        None => Ok(None),
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| format!("--shards: cannot parse '{v}'"))?;
-            if n == 0 {
-                return Err("--shards: need at least one shard".into());
-            }
-            Ok(Some(n))
         }
     }
 }
@@ -308,7 +288,6 @@ fn execute_observed(
     plan: &ExecutionPlan,
     telemetry: Option<Cycle>,
     trace: bool,
-    shards: Option<usize>,
     deadline: Option<Cycle>,
 ) -> Result<JobOutput, String> {
     let w = Workload::from_matrix(name.to_string(), a.clone(), k);
@@ -320,7 +299,6 @@ fn execute_observed(
     )
     .with_telemetry(telemetry)
     .with_trace(trace)
-    .with_shards(shards)
     .with_deadline_cycles(deadline)
     .try_execute_full()
     .map_err(|e| e.to_string())
@@ -334,19 +312,7 @@ fn execute(
     kernel: Primitive,
     plan: &ExecutionPlan,
 ) -> Result<RunReport, String> {
-    execute_observed(
-        system_config,
-        a,
-        name,
-        k,
-        kernel,
-        plan,
-        None,
-        false,
-        None,
-        None,
-    )
-    .map(|o| o.report)
+    execute_observed(system_config, a, name, k, kernel, plan, None, false, None).map(|o| o.report)
 }
 
 fn print_report(report: &RunReport, json: bool, ctx: RunSummary<'_>) -> Result<(), String> {
@@ -411,7 +377,6 @@ fn run(argv: &[String]) -> Result<(), String> {
     let kernel = parse_kernel(&args)?;
     let json = parse_format(&args)?;
     let telemetry = parse_telemetry(&args)?;
-    let shards = parse_shards(&args)?;
     let deadline = parse_deadline(&args)?;
     let system_config = parse_system(&args)?;
     let a = bench.generate(scale);
@@ -425,7 +390,6 @@ fn run(argv: &[String]) -> Result<(), String> {
         &plan,
         telemetry,
         false,
-        shards,
         deadline,
     )?;
     print_report(
@@ -464,7 +428,6 @@ fn trace_cmd(argv: &[String]) -> Result<(), String> {
     let k = parse_k(&args)?;
     let kernel = parse_kernel(&args)?;
     let system_config = parse_system(&args)?;
-    let shards = parse_shards(&args)?;
     let window: Cycle = args.get_parsed("window", 256)?;
     let telemetry = (window > 0).then_some(window);
     let a = bench.generate(scale);
@@ -478,7 +441,6 @@ fn trace_cmd(argv: &[String]) -> Result<(), String> {
         &plan,
         telemetry,
         true,
-        shards,
         None,
     )?;
     // The shared builder keeps local traces byte-identical to the
@@ -619,7 +581,6 @@ fn search(argv: &[String]) -> Result<(), String> {
     let k = parse_k(&args)?;
     let json = parse_format(&args)?;
     let telemetry = parse_telemetry(&args)?;
-    let shards = parse_shards(&args)?;
     let deadline = parse_deadline(&args)?;
     let system_config = parse_system(&args)?;
     let a = bench.generate(scale);
@@ -642,7 +603,6 @@ fn search(argv: &[String]) -> Result<(), String> {
         .map(|&plan| {
             Job::new(&workload, &config, Primitive::Spmm, plan)
                 .with_telemetry(telemetry)
-                .with_shards(shards)
                 .with_deadline_cycles(deadline)
         })
         .collect();
@@ -1563,19 +1523,13 @@ fn client_trace(argv: &[String]) -> Result<(), String> {
 }
 
 /// `bench-perf`: measures simulator host throughput under the event-driven
-/// scheduler and the naive tick-loop oracle across the Figure 9 suite, plus
-/// the memory-hierarchy microbenchmark (fast path on vs forced off), then
-/// writes the machine-readable summary (default `BENCH_sim.json`). The run
-/// doubles as an equivalence check: it fails if the two drivers disagree on
-/// any simulated metric, if the memory fast path diverges from the slow
-/// path on any completion cycle or statistic, or if the sharded driver's
-/// report differs from the sequential one at any shard count.
-/// `--gate-speedup`, `--gate-mem-speedup` and `--gate-shard-speedup` turn
-/// the run into a regression gate: the command fails (after writing the
-/// summary) when the respective figure falls below the given floor. The
-/// shard gate downgrades to a warning on hosts with fewer cores than the
-/// largest shard count — a 2-vCPU CI runner cannot demonstrate 4-shard
-/// scaling, and that is not a simulator regression.
+/// scheduler and the naive tick-loop oracle across the Figure 9 suite, one
+/// run at a time, then writes the machine-readable summary (default
+/// `BENCH_sim.json`). The run doubles as an equivalence check: it fails if
+/// the two drivers disagree on any simulated metric. `--gate-speedup`
+/// turns the run into a regression gate: the command fails (after writing
+/// the summary) when the geomean event/naive speedup falls below the given
+/// floor.
 fn bench_perf(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &[])?;
     let scale = parse_scale(&args)?;
@@ -1584,29 +1538,10 @@ fn bench_perf(argv: &[String]) -> Result<(), String> {
     if pes == 0 || !pes.is_multiple_of(4) {
         return Err("--pes must be a positive multiple of 4".into());
     }
-    let mem_ops: u64 = args.get_parsed("mem-ops", 200_000)?;
     let gate_speedup: f64 = args.get_parsed("gate-speedup", 0.0)?;
-    let gate_mem_speedup: f64 = args.get_parsed("gate-mem-speedup", 0.0)?;
-    let gate_shard_speedup: f64 = args.get_parsed("gate-shard-speedup", 0.0)?;
-    let max_shards: usize = match parse_shards(&args)? {
-        Some(n) => n,
-        None => *spade_bench::perf::SHARD_COUNTS.last().unwrap(),
-    };
-    // Powers of two up to --shards, always ending at --shards itself:
-    // `--shards 4` (the default) sweeps 1, 2, 4; `--shards 1` runs the
-    // 1-shard row only (the sweep still pins sharded==sequential there).
-    let mut shard_counts = vec![1usize];
-    while *shard_counts.last().unwrap() * 2 < max_shards {
-        shard_counts.push(shard_counts.last().unwrap() * 2);
-    }
-    if max_shards > 1 {
-        shard_counts.push(max_shards);
-    }
     let out = args.get("out").unwrap_or("BENCH_sim.json").to_string();
-    let runner = ParallelRunner::from_env();
     let host_start = Instant::now();
-    let summary =
-        spade_bench::perf::run_suite_perf(scale, k, pes, mem_ops, &shard_counts, &runner)?;
+    let summary = spade_bench::perf::run_suite_perf(scale, k, pes)?;
     println!(
         "{:<6} {:<6} {:>12} {:>14} {:>14} {:>8}",
         "name", "kernel", "cycles", "event cyc/s", "naive cyc/s", "speedup"
@@ -1623,64 +1558,12 @@ fn bench_perf(argv: &[String]) -> Result<(), String> {
         );
     }
     println!(
-        "geomean: event {:.3e} cyc/s, naive {:.3e} cyc/s, speedup {:.2}x ({} threads, {:.1}s host)",
+        "geomean: event {:.3e} cyc/s, naive {:.3e} cyc/s, speedup {:.2}x ({:.1}s host)",
         summary.geomean_event_cps(),
         summary.geomean_naive_cps(),
         summary.geomean_speedup(),
-        summary.threads,
         host_start.elapsed().as_secs_f64()
     );
-    if !summary.mem_rows.is_empty() {
-        println!(
-            "{:<8} {:>10} {:>14} {:>14} {:>8} {:>10} {:>10}",
-            "pattern", "accesses", "fast acc/s", "slow acc/s", "speedup", "line-hit", "page-hit"
-        );
-        for r in &summary.mem_rows {
-            println!(
-                "{:<8} {:>10} {:>14.3e} {:>14.3e} {:>7.2}x {:>9.1}% {:>9.1}%",
-                r.pattern,
-                r.accesses,
-                r.fast_aps,
-                r.slow_aps,
-                r.speedup(),
-                100.0 * r.line_filter_rate,
-                100.0 * r.page_reuse_rate
-            );
-        }
-        println!(
-            "mem geomean: fast {:.3e} acc/s, slow {:.3e} acc/s, speedup {:.2}x",
-            summary.geomean_mem_fast_aps(),
-            summary.geomean_mem_slow_aps(),
-            summary.geomean_mem_speedup()
-        );
-    }
-    if !summary.shard_rows.is_empty() {
-        let base = summary.shard_baseline_cps();
-        println!(
-            "{:<7} {:>12} {:>14} {:>8}",
-            "shards", "cycles", "sim cyc/s", "speedup"
-        );
-        for r in &summary.shard_rows {
-            println!(
-                "{:<7} {:>12} {:>14.3e} {:>7.2}x",
-                r.shards,
-                r.cycles,
-                r.cps,
-                r.speedup_over(base)
-            );
-        }
-        println!(
-            "shard scaling: {:.2}x at {} shards ({} host cores)",
-            summary.max_shard_speedup(),
-            summary
-                .shard_rows
-                .iter()
-                .map(|r| r.shards)
-                .max()
-                .unwrap_or(1),
-            summary.host_cores
-        );
-    }
     std::fs::write(&out, summary.to_json().render()).map_err(|e| format!("{out}: {e}"))?;
     println!("wrote {out}");
     if gate_speedup > 0.0 && summary.geomean_speedup() < gate_speedup {
@@ -1689,55 +1572,6 @@ fn bench_perf(argv: &[String]) -> Result<(), String> {
              required {gate_speedup:.2}x",
             summary.geomean_speedup()
         ));
-    }
-    if gate_mem_speedup > 0.0 {
-        if summary.mem_rows.is_empty() {
-            return Err("gate failed: --gate-mem-speedup set but the memory \
-                 microbench was disabled (--mem-ops 0)"
-                .into());
-        }
-        if summary.geomean_mem_speedup() < gate_mem_speedup {
-            return Err(format!(
-                "gate failed: geomean memory fast-path speedup {:.3}x is below \
-                 the required {gate_mem_speedup:.2}x",
-                summary.geomean_mem_speedup()
-            ));
-        }
-    }
-    if gate_shard_speedup > 0.0 {
-        if summary.shard_rows.len() < 2 {
-            return Err("gate failed: --gate-shard-speedup set but the shard \
-                 bench never scaled past one shard (--shards 1)"
-                .into());
-        }
-        let achieved = summary.max_shard_speedup();
-        let swept = summary
-            .shard_rows
-            .iter()
-            .map(|r| r.shards)
-            .max()
-            .unwrap_or(1) as usize;
-        if achieved < gate_shard_speedup {
-            // A host with fewer cores than shards cannot run the shards in
-            // parallel, so a missed target there says nothing about the
-            // simulator. Equivalence was still pinned above.
-            if summary.host_cores < swept {
-                println!(
-                    "warning: shard speedup {achieved:.2}x is below the \
-                     {gate_shard_speedup:.2}x gate, but only {} host cores \
-                     are available for {swept} shards — gate downgraded to \
-                     this warning",
-                    summary.host_cores
-                );
-            } else {
-                return Err(format!(
-                    "gate failed: shard speedup {achieved:.3}x at {swept} \
-                     shards is below the required {gate_shard_speedup:.2}x \
-                     ({} host cores)",
-                    summary.host_cores
-                ));
-            }
-        }
     }
     Ok(())
 }
@@ -2099,8 +1933,6 @@ mod tests {
             "16",
             "--pes",
             "4",
-            "--shards",
-            "2",
             "--out",
             path.to_str().unwrap(),
         ]))
@@ -2110,29 +1942,6 @@ mod tests {
         assert_eq!(spade_sim::json::validate(&text), Ok(()));
         assert!(text.contains("\"geomean_speedup\""));
         assert!(text.contains("\"kernel\":\"sddmm\""));
-        assert!(text.contains("\"sim_shard\""));
-        assert!(text.contains("\"max_shard_speedup\""));
-    }
-
-    #[test]
-    fn run_with_explicit_shards() {
-        dispatch(&argv(&[
-            "run",
-            "--benchmark",
-            "myc",
-            "--k",
-            "16",
-            "--pes",
-            "8",
-            "--shards",
-            "2",
-        ]))
-        .unwrap();
-    }
-
-    #[test]
-    fn zero_shards_is_rejected() {
-        assert!(dispatch(&argv(&["run", "--benchmark", "myc", "--shards", "0",])).is_err());
     }
 
     #[test]
