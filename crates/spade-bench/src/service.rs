@@ -5,7 +5,9 @@
 //! both sides). Clients submit the same experiments the CLI runs
 //! (`run`, `search`), plus `status`, `ping` and an in-band `shutdown`;
 //! results come back as the exact JSON documents the CLI's
-//! `--format json` prints, minus host-wall-clock fields (see below).
+//! `--format json` prints. The local CLI commands are the daemon without
+//! a socket: [`answer`] sends one request line through the same parse →
+//! key → admit → execute → render path in process.
 //!
 //! # Architecture
 //!
@@ -100,6 +102,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use spade_core::advisor::advise_tiered;
@@ -324,6 +327,50 @@ struct Inner {
 }
 
 impl Inner {
+    /// Opens the result cache and loads the cost model `config` names.
+    fn new(config: ServiceConfig) -> io::Result<Inner> {
+        let cache = match &config.cache_dir {
+            Some(dir) => Some(ResultCache::open(dir)?),
+            None => None,
+        };
+        let dataset = cache.as_ref().map(DatasetIndex::load);
+        // A model that fails to load is a warning, not a bind failure:
+        // the advise tiers below the model keep the request available.
+        let model = config
+            .model_path
+            .as_ref()
+            .and_then(|path| match CostModel::load(path) {
+                Ok(m) => Some(m),
+                Err(e) => {
+                    eprintln!(
+                        "spade-serve: cost model {} unusable ({e}); \
+                         advise falls back to the heuristic",
+                        path.display()
+                    );
+                    None
+                }
+            });
+        Ok(Inner {
+            config,
+            cache,
+            dataset,
+            model,
+            metrics: ServiceMetrics::new(),
+            shutdown: AtomicBool::new(false),
+            queue_depth: AtomicUsize::new(0),
+            in_flight: AtomicUsize::new(0),
+            served_ok: AtomicU64::new(0),
+            served_err: AtomicU64::new(0),
+            rejected_overload: AtomicU64::new(0),
+            bad_frames: AtomicU64::new(0),
+            connections: AtomicU64::new(0),
+            next_rid: AtomicU64::new(0),
+            index_dirty: AtomicU64::new(0),
+            stamps: Mutex::new(HashMap::new()),
+            started: Instant::now(),
+        })
+    }
+
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst) || termination_signal_received()
     }
@@ -468,49 +515,9 @@ impl Service {
     /// Fails if the address can't be bound or the cache directory can't
     /// be created.
     pub fn bind(addr: &str, config: ServiceConfig) -> io::Result<Service> {
-        let listener = TcpListener::bind(addr)?;
-        let cache = match &config.cache_dir {
-            Some(dir) => Some(ResultCache::open(dir)?),
-            None => None,
-        };
-        let dataset = cache.as_ref().map(DatasetIndex::load);
-        // A model that fails to load is a warning, not a bind failure:
-        // the advise tiers below the model keep the request available.
-        let model = config
-            .model_path
-            .as_ref()
-            .and_then(|path| match CostModel::load(path) {
-                Ok(m) => Some(m),
-                Err(e) => {
-                    eprintln!(
-                        "spade-serve: cost model {} unusable ({e}); \
-                         advise falls back to the heuristic",
-                        path.display()
-                    );
-                    None
-                }
-            });
         Ok(Service {
-            listener,
-            inner: Arc::new(Inner {
-                config,
-                cache,
-                dataset,
-                model,
-                metrics: ServiceMetrics::new(),
-                shutdown: AtomicBool::new(false),
-                queue_depth: AtomicUsize::new(0),
-                in_flight: AtomicUsize::new(0),
-                served_ok: AtomicU64::new(0),
-                served_err: AtomicU64::new(0),
-                rejected_overload: AtomicU64::new(0),
-                bad_frames: AtomicU64::new(0),
-                connections: AtomicU64::new(0),
-                next_rid: AtomicU64::new(0),
-                index_dirty: AtomicU64::new(0),
-                stamps: Mutex::new(HashMap::new()),
-                started: Instant::now(),
-            }),
+            listener: TcpListener::bind(addr)?,
+            inner: Arc::new(Inner::new(config)?),
         })
     }
 
@@ -540,19 +547,8 @@ impl Service {
     pub fn run(self) -> io::Result<ServiceSummary> {
         let inner = self.inner;
         self.listener.set_nonblocking(true)?;
-        let (work_tx, work_rx) = mpsc::sync_channel::<WorkItem>(inner.config.queue_capacity);
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let mut workers = Vec::new();
-        for i in 0..inner.config.workers.max(1) {
-            let inner = Arc::clone(&inner);
-            let rx = Arc::clone(&work_rx);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("spade-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&inner, &rx))?,
-            );
-        }
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let (work_tx, workers) = spawn_workers(&inner)?;
+        let mut handlers: Vec<JoinHandle<()>> = Vec::new();
         while !inner.shutting_down() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
@@ -577,21 +573,12 @@ impl Service {
         }
         // Drain: handlers notice the shutdown flag within one read
         // timeout and close their connections (after answering anything
-        // already in flight); then the queue sender drops and the workers
-        // finish whatever was admitted and exit.
+        // already in flight); then the workers finish whatever was
+        // admitted.
         for h in handlers {
             let _ = h.join();
         }
-        drop(work_tx);
-        for w in workers {
-            let _ = w.join();
-        }
-        if let Some(cache) = &inner.cache {
-            let dataset = inner.dataset.as_ref().map(DatasetIndex::to_json);
-            if let Err(e) = cache.flush_index_with(dataset) {
-                eprintln!("spade-serve: cache index flush failed: {e}");
-            }
-        }
+        drain(&inner, work_tx, workers);
         Ok(ServiceSummary {
             served_ok: inner.served_ok.load(Ordering::Relaxed),
             served_err: inner.served_err.load(Ordering::Relaxed),
@@ -601,6 +588,55 @@ impl Service {
             cache: inner.cache.as_ref().map(ResultCache::stats),
             metrics: metrics_snapshot(&inner),
         })
+    }
+}
+
+/// Answers one request line in process: the daemon's own parse, key,
+/// admission, worker and render path, with no listener. Local CLI
+/// commands go through here, so a local run prints the line a cold
+/// daemon with the same `config` would reply.
+///
+/// # Errors
+///
+/// Fails when the cache directory can't be opened or a worker can't be
+/// spawned; request failures come back in-protocol, as `ok:false` lines.
+pub fn answer(config: ServiceConfig, line: &str) -> io::Result<String> {
+    let inner = Arc::new(Inner::new(config)?);
+    let (work_tx, workers) = spawn_workers(&inner)?;
+    let response = process_frame(&inner, &work_tx, line.as_bytes());
+    drain(&inner, work_tx, workers);
+    Ok(response)
+}
+
+/// Starts the worker pool behind a fresh admission queue.
+fn spawn_workers(inner: &Arc<Inner>) -> io::Result<(SyncSender<WorkItem>, Vec<JoinHandle<()>>)> {
+    let (work_tx, work_rx) = mpsc::sync_channel::<WorkItem>(inner.config.queue_capacity);
+    let work_rx = Arc::new(Mutex::new(work_rx));
+    let mut workers = Vec::new();
+    for i in 0..inner.config.workers.max(1) {
+        let inner = Arc::clone(inner);
+        let rx = Arc::clone(&work_rx);
+        workers.push(
+            std::thread::Builder::new()
+                .name(format!("spade-serve-worker-{i}"))
+                .spawn(move || worker_loop(&inner, &rx))?,
+        );
+    }
+    Ok((work_tx, workers))
+}
+
+/// Closes the admission queue, lets the workers finish what was
+/// admitted, and flushes the cache index.
+fn drain(inner: &Inner, work_tx: SyncSender<WorkItem>, workers: Vec<JoinHandle<()>>) {
+    drop(work_tx);
+    for w in workers {
+        let _ = w.join();
+    }
+    if let Some(cache) = &inner.cache {
+        let dataset = inner.dataset.as_ref().map(DatasetIndex::to_json);
+        if let Err(e) = cache.flush_index_with(dataset) {
+            eprintln!("spade-serve: cache index flush failed: {e}");
+        }
     }
 }
 
@@ -649,7 +685,7 @@ fn handle_connection(inner: &Arc<Inner>, work_tx: &SyncSender<WorkItem>, stream:
                 if frame.iter().all(u8::is_ascii_whitespace) {
                     continue;
                 }
-                if !process_frame(inner, work_tx, &mut writer, &frame) {
+                if !respond(&mut writer, &process_frame(inner, work_tx, &frame)) {
                     return;
                 }
             }
@@ -689,14 +725,8 @@ fn handle_connection(inner: &Arc<Inner>, work_tx: &SyncSender<WorkItem>, stream:
     }
 }
 
-/// Handles one well-framed request line. Returns `false` when the
-/// connection should close (write failure).
-fn process_frame(
-    inner: &Arc<Inner>,
-    work_tx: &SyncSender<WorkItem>,
-    writer: &mut TcpStream,
-    frame: &[u8],
-) -> bool {
+/// Answers one well-framed request line with its response line.
+fn process_frame(inner: &Arc<Inner>, work_tx: &SyncSender<WorkItem>, frame: &[u8]) -> String {
     let rid = inner.next_rid.fetch_add(1, Ordering::Relaxed) + 1;
     let received = Instant::now();
     let mut workloads = Workloads::new();
@@ -710,10 +740,7 @@ fn process_frame(
                 "bad_frame",
                 &[("message", message.as_str().into())],
             );
-            return respond(
-                writer,
-                &error_response(None, None, "bad_request", &message, None),
-            );
+            return error_response(None, None, "bad_request", &message, None);
         }
     };
     let cmd_name = match &parsed {
@@ -787,7 +814,7 @@ fn process_frame(
             ("total_us", (received.elapsed().as_micros() as u64).into()),
         ],
     );
-    respond(writer, &response)
+    response
 }
 
 /// Answers one `run`/`search`/`query`/`trace` request: cache probe on
@@ -2093,7 +2120,14 @@ fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> Result<String, (String, 
             )),
         },
         WorkKind::Search(jobs) => {
-            let outcomes = ParallelRunner::new(1).run_outputs(jobs);
+            // Fan the candidates out over the workers nobody else is
+            // using (this one included): a lone search gets the whole
+            // pool, a busy daemon one thread per search.
+            let idle = inner
+                .config
+                .workers
+                .saturating_sub(inner.in_flight.load(Ordering::Relaxed));
+            let outcomes = ParallelRunner::new(idle + 1).run_outputs(jobs);
             let mut failures = 0usize;
             let mut results: Vec<(&Job, JobOutput)> = Vec::with_capacity(jobs.len());
             let mut last_error = String::new();
@@ -2140,7 +2174,7 @@ fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> Result<String, (String, 
     }
 }
 
-/// An execution plan as a JSON object (same shape as the CLI's).
+/// An execution plan as a JSON object.
 pub fn plan_json(p: &ExecutionPlan) -> JsonValue {
     JsonValue::object([
         ("row_panel_size", p.tiling.row_panel_size.into()),
@@ -2162,7 +2196,9 @@ pub fn canonical_report(report: &RunReport) -> RunReport {
     canon
 }
 
-fn run_result_json(job: &Job, output: &JobOutput) -> JsonValue {
+/// The `result` document of a `run`: context, plan and canonical
+/// report.
+pub fn run_result_json(job: &Job, output: &JobOutput) -> JsonValue {
     JsonValue::object([
         ("benchmark", job.workload.name.as_str().into()),
         ("kernel", job.primitive.to_string().into()),
@@ -2175,10 +2211,9 @@ fn run_result_json(job: &Job, output: &JobOutput) -> JsonValue {
 
 /// Builds the Chrome-trace JSON for a traced job output — the telemetry
 /// series (when captured) merged in as its own lane above the PE lanes,
-/// events sorted by time — and returns it with the event count. Both
-/// `spade-cli trace` and the daemon's `trace` request go through here,
-/// so a wire-served trace is byte-identical to the locally written file
-/// by construction.
+/// events sorted by time — and returns it with the event count. The
+/// `trace` request builds its document here, for `spade-cli trace` (in
+/// process) and `client trace` alike.
 ///
 /// # Errors
 ///

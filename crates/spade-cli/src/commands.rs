@@ -2,22 +2,20 @@
 
 use std::fs::File;
 use std::io::BufReader;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use spade_bench::model::{CostModel, TrainingRow};
-use spade_bench::parallel::{self, Job, JobOutput, ParallelRunner};
-use spade_bench::service;
+use spade_bench::parallel::{Job, ParallelRunner};
+use spade_bench::service::{self, ServiceConfig};
 use spade_bench::suite::Workload;
 use spade_core::advisor::PlanRanker;
-use spade_core::{
-    advisor, BarrierPolicy, CMatrixPolicy, ExecutionPlan, JsonValue, PlanSearchSpace, Primitive,
-    RMatrixPolicy, RunReport, SystemConfig, TelemetrySeries,
-};
+use spade_core::{advisor, JsonValue, Primitive, RMatrixPolicy, SystemConfig};
 use spade_matrix::analysis::{MatrixFeatures, MatrixStats};
 use spade_matrix::generators::{Benchmark, Scale};
-use spade_matrix::{mm, Coo};
-use spade_sim::Cycle;
+use spade_matrix::mm;
+use spade_sim::json::MAX_FRAME_BYTES;
 
 use crate::args::Args;
 
@@ -27,16 +25,14 @@ pub const USAGE: &str = "usage:
   spade-cli run    --benchmark <name> [--kernel spmm|sddmm] [--k 32]
                    [--pes 56] [--scale tiny|small|default|large]
                    [--rp N] [--cp N|all] [--rmatrix cache|bypass|victim]
-                   [--barriers] [--format json|text] [--telemetry <window>]
-                   [--deadline-cycles N]
-  spade-cli trace  <name> [--kernel spmm|sddmm] [--k 32] [--pes 56]
-                   [--scale ...] [--window 256] [--out <file.trace.json>]
+                   [--barriers] [--deadline-cycles N] [--format json|text]
+  spade-cli trace  <name> [run flags as above] [--window 256]
+                   [--out <file.trace.json>]
   spade-cli advise --benchmark <name> [--k 32] [--pes 56] [--scale ...]
                    [--fast|--exact] [--model FILE] [--top-n 5] [--exhaustive]
                    [--format json|text]
   spade-cli search --benchmark <name> [--k 32] [--pes 56] [--scale ...] [--full]
-                   [--format json|text] [--telemetry <window>]
-                   [--deadline-cycles N]
+                   [--deadline-cycles N] [--format json|text]
   spade-cli mm     --file <matrix.mtx> [--k 32] [--pes 56] [--format json|text]
   spade-cli serve  [--addr 127.0.0.1:7700] [--cache-dir DIR] [--workers N]
                    [--queue 32] [--max-connections 32] [--deadline-cycles N]
@@ -44,9 +40,9 @@ pub const USAGE: &str = "usage:
   spade-cli client --addr <host:port> --request '<json>'
   spade-cli client ping|status|metrics|shutdown --addr <host:port>
                    [--format json|text] [--prom (metrics only)]
-  spade-cli client run|search|trace --addr <host:port> --benchmark <name>
-                   [job flags as above] [--no-cache] [--format json|text]
-                   [--window 256 --out <file.trace.json> (trace only)]
+  spade-cli client run|trace|search|advise --addr <host:port>
+                   [flags of the local command, less --model/--exact/
+                   --exhaustive/--top-n] [--no-cache (not advise)]
   spade-cli client query --addr <host:port> [--benchmark <name>]
                    [--kernel spmm|sddmm] [--kind run|search|trace] [--k N]
                    [--pes N] [--min-cycles N] [--max-cycles N] [--limit N]
@@ -62,14 +58,16 @@ pub const USAGE: &str = "usage:
                    [--format json|text]
   spade-cli bench-perf [--scale tiny|small|default|large] [--k 32] [--pes 56]
                    [--gate-speedup X] [--out BENCH_sim.json]
-  spade-cli client advise --addr <host:port> --benchmark <name> [--k 32]
-                   [--pes 56] [--scale ...] [--format json|text]
   spade-cli dataset export --cache-dir DIR [--out FILE]
   spade-cli model train --dataset FILE [--scale tiny|small|default|large]
                    [--out spade.model] [--report FILE]
   spade-cli bench-advise [--scale ...] [--k 32] [--pes 56]
                    [--out BENCH_sim.json] [--model-out FILE] [--report-out FILE]
                    [--gate-advise-speedup X] [--gate-advise-quality X]
+
+run, trace, search and advise are the daemon without a socket: the
+request goes through the daemon's own handler in process, so
+--format json prints the line a cold daemon replies.
 
 benchmarks: asi liv ork pap del kro myc pac roa ser";
 
@@ -86,10 +84,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let rest = &argv[1..];
     match cmd.as_str() {
         "info" => info(rest),
-        "run" => run(rest),
-        "trace" => trace_cmd(rest),
-        "advise" => advise_cmd(rest),
-        "search" => search(rest),
+        cmd @ ("run" | "trace" | "search" | "advise") => request(cmd, rest, false),
         "mm" => run_mm(rest),
         "serve" => serve(rest),
         "client" => client(rest),
@@ -118,10 +113,6 @@ fn lookup_benchmark(name: &str) -> Result<Benchmark, String> {
         .ok_or(format!("unknown benchmark '{name}'"))
 }
 
-fn parse_benchmark(args: &Args) -> Result<Benchmark, String> {
-    lookup_benchmark(args.get("benchmark").ok_or("--benchmark is required")?)
-}
-
 /// Whether machine-readable output was requested: `--format json|text`,
 /// with the legacy `--json` switch as an alias for `--format json`.
 fn parse_format(args: &Args) -> Result<bool, String> {
@@ -133,51 +124,34 @@ fn parse_format(args: &Args) -> Result<bool, String> {
     }
 }
 
-/// Parses `--telemetry <window>`, rejecting the zero window the simulator
-/// would refuse anyway.
-fn parse_telemetry(args: &Args) -> Result<Option<Cycle>, String> {
-    match args.get("telemetry") {
-        None => Ok(None),
-        Some(v) => {
-            let w: Cycle = v
-                .parse()
-                .map_err(|_| format!("--telemetry: cannot parse '{v}'"))?;
-            if w == 0 {
-                return Err("--telemetry: window must be at least one cycle".into());
-            }
-            Ok(Some(w))
-        }
+/// Parses `--k`, rejecting values the simulator cannot run (K must fill
+/// whole cache lines) before any simulation work starts.
+fn parse_k(args: &Args) -> Result<usize, String> {
+    let k: usize = args.get_parsed("k", 32)?;
+    let line = spade_matrix::FLOATS_PER_LINE;
+    if k == 0 || !k.is_multiple_of(line) {
+        return Err(format!(
+            "--k: {k} is not a multiple of the cache line ({line} floats)"
+        ));
     }
+    Ok(k)
 }
 
-/// Parses `--deadline-cycles <n>`: a hard ceiling on simulated cycles,
-/// riding the watchdog's `max_cycles` — a run past the deadline fails
-/// with a structured error instead of running forever.
-fn parse_deadline(args: &Args) -> Result<Option<Cycle>, String> {
-    match args.get("deadline-cycles") {
-        None => Ok(None),
-        Some(v) => {
-            let d: Cycle = v
-                .parse()
-                .map_err(|_| format!("--deadline-cycles: cannot parse '{v}'"))?;
-            if d == 0 {
-                return Err("--deadline-cycles: need at least one cycle".into());
-            }
-            Ok(Some(d))
-        }
-    }
-}
-
-fn parse_system(args: &Args) -> Result<SystemConfig, String> {
+fn parse_pes(args: &Args) -> Result<usize, String> {
     let pes: usize = args.get_parsed("pes", 56)?;
     if pes == 0 || !pes.is_multiple_of(4) {
         return Err("--pes must be a positive multiple of 4".into());
     }
-    Ok(SystemConfig::scaled(pes))
+    Ok(pes)
+}
+
+fn parse_flag_u64(name: &str, v: &str) -> Result<u64, String> {
+    v.parse()
+        .map_err(|_| format!("--{name}: cannot parse '{v}'"))
 }
 
 fn info(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["scale"], &[])?;
     let scale = parse_scale(&args)?;
     println!(
         "{:<6} {:<24} {:>8} {:>9} {:>8} {:>7}  RU",
@@ -200,508 +174,392 @@ fn info(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_plan(args: &Args, a: &Coo) -> Result<ExecutionPlan, String> {
-    let mut plan = ExecutionPlan::spmm_base(a).map_err(|e| e.to_string())?;
-    let mut rp = plan.tiling.row_panel_size;
-    let mut cp = plan.tiling.col_panel_size;
-    if let Some(v) = args.get("rp") {
-        rp = v.parse().map_err(|_| "--rp: bad number")?;
+// ---------------------------------------------------------------------------
+// Requests: run, trace, search, advise — local or served
+// ---------------------------------------------------------------------------
+
+/// The value flags and switches request command `cmd` declares, locally
+/// or (`remote`) as a `client` subcommand.
+fn request_flags(cmd: &str, remote: bool) -> (Vec<&'static str>, Vec<&'static str>) {
+    let mut values = vec!["benchmark", "scale", "k", "pes", "format"];
+    let mut switches = vec!["json"];
+    match cmd {
+        "run" | "trace" => {
+            values.extend(["kernel", "rp", "cp", "rmatrix", "deadline-cycles"]);
+            switches.push("barriers");
+            if cmd == "trace" {
+                values.extend(["window", "out"]);
+            }
+        }
+        "search" => {
+            values.push("deadline-cycles");
+            switches.push("full");
+        }
+        _ => {}
     }
-    if let Some(v) = args.get("cp") {
-        cp = if v == "all" {
-            a.num_cols().max(1)
+    if remote {
+        values.push("addr");
+        if cmd != "advise" {
+            switches.push("no-cache");
+        }
+    } else if cmd == "advise" {
+        values.extend(["model", "top-n"]);
+        switches.extend(["fast", "exact", "exhaustive"]);
+    }
+    (values, switches)
+}
+
+/// Flags that steer the CLI itself (output, transport, the local-only
+/// exact advise tier) and never reach a request document.
+const CLI_FLAGS: [&str; 9] = [
+    "format",
+    "json",
+    "out",
+    "addr",
+    "model",
+    "top-n",
+    "fast",
+    "exact",
+    "exhaustive",
+];
+
+/// Flags whose value is a number (`cp` may also be `all`).
+const NUMERIC_FLAGS: [&str; 9] = [
+    "k",
+    "pes",
+    "rp",
+    "cp",
+    "window",
+    "deadline-cycles",
+    "min-cycles",
+    "max-cycles",
+    "limit",
+];
+
+/// Flags → request document, one mapping for every request command, its
+/// `client` twin and the `client` query and batch fields. Each flag
+/// becomes the wire field of the same name (dashes as underscores) and
+/// each switch a `true`. Only numbers are checked here; the handler
+/// validates every field.
+fn request_doc(cmd: &str, args: &Args) -> Result<Vec<(String, JsonValue)>, String> {
+    let mut fields = vec![("cmd".to_string(), JsonValue::from(cmd))];
+    for (flag, v) in args.values() {
+        if CLI_FLAGS.contains(&flag.as_str()) {
+            continue;
+        }
+        let value = if NUMERIC_FLAGS.contains(&flag.as_str()) && !(flag == "cp" && v == "all") {
+            parse_flag_u64(flag, v)?.into()
         } else {
-            v.parse().map_err(|_| "--cp: bad number")?
+            v.as_str().into()
         };
+        fields.push((flag.replace('-', "_"), value));
     }
-    // Re-validate through the constructor so a zero panel size is a flag
-    // error here, not a failure inside the simulator.
-    plan.tiling = spade_matrix::TilingConfig::new(rp, cp).map_err(|e| e.to_string())?;
-    plan.r_policy = match args.get("rmatrix").unwrap_or("cache") {
-        "cache" => RMatrixPolicy::Cache,
-        "bypass" => RMatrixPolicy::Bypass,
-        "victim" => RMatrixPolicy::BypassVictim,
-        other => return Err(format!("--rmatrix: unknown policy '{other}'")),
+    for switch in args.switches() {
+        if !CLI_FLAGS.contains(&switch.as_str()) {
+            fields.push((switch.replace('-', "_"), true.into()));
+        }
+    }
+    Ok(fields)
+}
+
+/// `run`, `trace`, `search` and `advise`, local or (`client …`) served,
+/// in three steps: flags → request document, transport, one renderer
+/// per command. Locally the document goes through [`service::answer`],
+/// the daemon's handler without a socket, so `--format json` prints
+/// exactly the line a cold daemon replies.
+fn request(cmd: &str, argv: &[String], remote: bool) -> Result<(), String> {
+    // `trace` also takes its benchmark positionally (`trace myc`).
+    let (positional, rest) = match argv.first() {
+        Some(first) if cmd == "trace" && !first.starts_with("--") => {
+            (Some(first.as_str()), &argv[1..])
+        }
+        _ => (None, argv),
     };
-    plan.c_policy = CMatrixPolicy::Cache;
-    if args.has("barriers") {
-        plan.barriers = BarrierPolicy::per_column_panel();
+    let (values, switches) = request_flags(cmd, remote);
+    let args = Args::parse(rest, &values, &switches)?;
+    let json = parse_format(&args)?;
+    let mut doc = request_doc(cmd, &args)?;
+    if let Some(name) = positional {
+        doc.push(("benchmark".into(), name.into()));
     }
-    Ok(plan)
-}
-
-struct RunSummary<'a> {
-    benchmark: &'a str,
-    kernel: String,
-    k: usize,
-    pes: usize,
-    plan: &'a ExecutionPlan,
-    report: &'a RunReport,
-    telemetry: Option<&'a TelemetrySeries>,
-}
-
-/// An execution plan as a JSON object.
-fn plan_json(p: &ExecutionPlan) -> JsonValue {
-    JsonValue::object([
-        ("row_panel_size", p.tiling.row_panel_size.into()),
-        ("col_panel_size", p.tiling.col_panel_size.into()),
-        ("r_policy", format!("{:?}", p.r_policy).into()),
-        ("c_policy", format!("{:?}", p.c_policy).into()),
-        ("barriers", p.barriers.is_enabled().into()),
-    ])
-}
-
-impl RunSummary<'_> {
-    /// The run as one JSON document (hand-rolled writer — the workspace is
-    /// dependency-free): context, plan, the full report, and the telemetry
-    /// series when sampling was on.
-    fn to_json(&self) -> JsonValue {
-        let mut fields = vec![
-            ("benchmark", JsonValue::from(self.benchmark)),
-            ("kernel", self.kernel.as_str().into()),
-            ("k", self.k.into()),
-            ("pes", self.pes.into()),
-            ("plan", plan_json(self.plan)),
-            ("report", self.report.to_json()),
-            (
-                "sim_cycles_per_host_sec",
-                self.report.sim_cycles_per_host_sec().into(),
-            ),
-        ];
-        if let Some(series) = self.telemetry {
-            fields.push(("telemetry", series.to_json()));
-        }
-        JsonValue::object(fields)
-    }
-}
-
-/// Runs one validated simulation with optional observability, routing
-/// through the bench workload so the gold kernel is computed once and the
-/// run checks against the shared cached result.
-#[allow(clippy::too_many_arguments)]
-fn execute_observed(
-    system_config: &SystemConfig,
-    a: &Coo,
-    name: &str,
-    k: usize,
-    kernel: Primitive,
-    plan: &ExecutionPlan,
-    telemetry: Option<Cycle>,
-    trace: bool,
-    deadline: Option<Cycle>,
-) -> Result<JobOutput, String> {
-    let w = Workload::from_matrix(name.to_string(), a.clone(), k);
-    Job::new(
-        &Arc::new(w),
-        &Arc::new(system_config.clone()),
-        kernel,
-        *plan,
-    )
-    .with_telemetry(telemetry)
-    .with_trace(trace)
-    .with_deadline_cycles(deadline)
-    .try_execute_full()
-    .map_err(|e| e.to_string())
-}
-
-fn execute(
-    system_config: &SystemConfig,
-    a: &Coo,
-    name: &str,
-    k: usize,
-    kernel: Primitive,
-    plan: &ExecutionPlan,
-) -> Result<RunReport, String> {
-    execute_observed(system_config, a, name, k, kernel, plan, None, false, None).map(|o| o.report)
-}
-
-fn print_report(report: &RunReport, json: bool, ctx: RunSummary<'_>) -> Result<(), String> {
-    if json {
-        println!("{}", ctx.to_json().render());
+    let line = JsonValue::Object(doc).render();
+    let (response, reply) = if remote {
+        // A trace reply is one long line: raise the read limit well past
+        // the default.
+        let max_frame = if cmd == "trace" {
+            256 << 20
+        } else {
+            MAX_FRAME_BYTES
+        };
+        let (addr, mut client) = client_connect(&args, max_frame)?;
+        client_roundtrip(&mut client, &addr, &line)?
+    } else if args.has("exact") {
+        advise_exact(&args)?
     } else {
-        println!("cycles            : {}", report.cycles);
-        println!("time              : {:.1} µs", report.time_ns / 1e3);
-        println!("vOps              : {}", report.total_vops);
-        println!("DRAM accesses     : {}", report.dram_accesses);
-        println!("LLC accesses      : {}", report.llc_accesses);
-        println!("requests/cycle    : {:.2}", report.requests_per_cycle);
-        println!("DRAM bandwidth    : {:.1} GB/s", report.achieved_gbps);
+        answer_locally(&args, &line)?
+    };
+    if json {
+        println!("{response}");
+        return Ok(());
+    }
+    let result = reply.get("result").ok_or("response has no result")?;
+    match cmd {
+        "run" => print_run(result, &provenance(&reply)),
+        "trace" => write_trace(result, args.get("out"), &provenance(&reply)),
+        "search" => print_search(result, &provenance(&reply)),
+        _ => print_advise(result),
+    }
+}
+
+/// Answers `line` in process, as a cold daemon without a cache would.
+/// `--model` (advise) is the only configuration a local request takes;
+/// an `ok:false` reply becomes the command's error.
+fn answer_locally(args: &Args, line: &str) -> Result<(String, JsonValue), String> {
+    let config = ServiceConfig {
+        model_path: args.get("model").map(PathBuf::from),
+        ..ServiceConfig::default()
+    };
+    let response = service::answer(config, line).map_err(|e| e.to_string())?;
+    let reply = JsonValue::parse(&response)
+        .map_err(|e| format!("unparseable response ({e}): {response}"))?;
+    if reply.get("ok").and_then(JsonValue::as_bool) == Some(false) {
+        let error = reply.get("error").ok_or("error reply has no error")?;
+        return Err(js(error, "message").to_string());
+    }
+    Ok((response, reply))
+}
+
+/// `advise --exact`: the demoted verification tier. It simulates the
+/// candidates (model-pruned to `--top-n` unless `--exhaustive`) through
+/// `find_opt_pruned`, work the daemon never does, so it stays local. The
+/// reply takes the served advise shape plus `measured_cycles`.
+fn advise_exact(args: &Args) -> Result<(String, JsonValue), String> {
+    if args.has("fast") {
+        return Err("--fast and --exact are mutually exclusive".into());
+    }
+    let bench = lookup_benchmark(args.get("benchmark").ok_or("--benchmark is required")?)?;
+    let k = parse_k(args)?;
+    let pes = parse_pes(args)?;
+    let top_n: usize = args.get_parsed("top-n", spade_bench::runner::PRUNE_TOP_N)?;
+    let w = Workload::prepare(bench, parse_scale(args)?, k);
+    // A model that fails to load costs pruning, never the answer.
+    let model = args
+        .get("model")
+        .and_then(|path| match CostModel::load(Path::new(path)) {
+            Ok(m) => Some(m),
+            Err(e) => {
+                eprintln!("warning: cost model {path} unusable ({e}); simulating every candidate");
+                None
+            }
+        });
+    let ranker = match &model {
+        Some(m) if !args.has("exhaustive") => Some(m as &dyn PlanRanker),
+        _ => None,
+    };
+    let started = Instant::now();
+    let (plan, report) = spade_bench::runner::find_opt_pruned(
+        &SystemConfig::scaled(pes),
+        &w,
+        Primitive::Spmm,
+        true,
+        ranker,
+        top_n,
+    );
+    let result = JsonValue::object([
+        ("benchmark", bench.short_name().into()),
+        ("k", k.into()),
+        ("pes", pes.into()),
+        ("source", "exhaustive".into()),
+        ("plan", service::plan_json(&plan)),
+        ("predicted_cycles", JsonValue::Null),
+        ("latency_us", (started.elapsed().as_micros() as u64).into()),
+        ("measured_cycles", report.cycles.into()),
+    ]);
+    let reply = JsonValue::object([
+        ("ok", true.into()),
+        ("cmd", "advise".into()),
+        ("protocol", service::PROTOCOL_VERSION.into()),
+        ("result", result),
+    ]);
+    Ok((reply.render(), reply))
+}
+
+/// ` (fresh|cached, key K)`: where a reply's result came from.
+fn provenance(reply: &JsonValue) -> String {
+    let cached = if reply.get("cached").and_then(JsonValue::as_bool) == Some(true) {
+        "cached"
+    } else {
+        "fresh"
+    };
+    match reply.get("key").and_then(JsonValue::as_str) {
+        Some(key) => format!(" ({cached}, key {key})"),
+        None => format!(" ({cached})"),
+    }
+}
+
+/// A `u64` response field, defaulting to 0 — display only, never logic.
+fn ju(doc: &JsonValue, key: &str) -> u64 {
+    doc.get(key).and_then(JsonValue::as_u64).unwrap_or(0)
+}
+
+/// A numeric response field as `f64`, defaulting to 0.
+fn jf(doc: &JsonValue, key: &str) -> f64 {
+    doc.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0)
+}
+
+/// A string response field, defaulting to `?`.
+fn js<'a>(doc: &'a JsonValue, key: &str) -> &'a str {
+    doc.get(key).and_then(JsonValue::as_str).unwrap_or("?")
+}
+
+/// A plan object as `rp=R cp=C`, with ` b` when barriers are on.
+fn plan_summary(plan: Option<&JsonValue>) -> String {
+    match plan {
+        None | Some(JsonValue::Null) => "-".to_string(),
+        Some(p) => format!(
+            "rp={} cp={}{}",
+            ju(p, "row_panel_size"),
+            ju(p, "col_panel_size"),
+            if p.get("barriers").and_then(JsonValue::as_bool) == Some(true) {
+                " b"
+            } else {
+                ""
+            }
+        ),
+    }
+}
+
+/// Renders a `run` result (also `mm`'s): its context line, then the
+/// headline report.
+fn print_run(result: &JsonValue, note: &str) -> Result<(), String> {
+    let report = result.get("report").ok_or("result has no report")?;
+    let cycles = ju(report, "cycles");
+    println!(
+        "{} {} k={} pes={}{note}",
+        js(result, "benchmark"),
+        js(result, "kernel"),
+        ju(result, "k"),
+        ju(result, "pes")
+    );
+    println!("cycles            : {cycles}");
+    println!("time              : {:.1} µs", jf(report, "time_ns") / 1e3);
+    println!("vOps              : {}", ju(report, "total_vops"));
+    println!("DRAM accesses     : {}", ju(report, "dram_accesses"));
+    println!("LLC accesses      : {}", ju(report, "llc_accesses"));
+    println!(
+        "requests/cycle    : {:.2}",
+        jf(report, "requests_per_cycle")
+    );
+    println!(
+        "DRAM bandwidth    : {:.1} GB/s",
+        jf(report, "achieved_gbps")
+    );
+    println!(
+        "termination cost  : {:.2}%",
+        ju(report, "termination_cycles") as f64 * 100.0 / cycles.max(1) as f64
+    );
+    Ok(())
+}
+
+/// Renders a `search` result: the five best candidates.
+fn print_search(result: &JsonValue, note: &str) -> Result<(), String> {
+    let candidates = result
+        .get("candidates")
+        .and_then(JsonValue::as_array)
+        .ok_or("result has no candidates")?;
+    println!(
+        "{} k={} pes={}: {} plans, {} failures{note}; best first:",
+        js(result, "benchmark"),
+        ju(result, "k"),
+        ju(result, "pes"),
+        candidates.len(),
+        ju(result, "failures")
+    );
+    for c in candidates.iter().take(5) {
+        let plan = c.get("plan").ok_or("candidate has no plan")?;
         println!(
-            "termination cost  : {:.2}%",
-            report.termination_fraction() * 100.0
+            "  {:>10} cycles  RP={:<6} CP={:<8} {:<12} barriers={}",
+            ju(c, "cycles"),
+            ju(plan, "row_panel_size"),
+            ju(plan, "col_panel_size"),
+            js(plan, "r_policy"),
+            plan.get("barriers") == Some(&JsonValue::Bool(true))
         );
-        println!(
-            "host wall clock   : {:.1} ms ({:.1} Mcycle/s simulated)",
-            report.host_wall_ns / 1e6,
-            report.sim_cycles_per_host_sec() / 1e6
-        );
-        if let Some(series) = ctx.telemetry {
-            println!(
-                "telemetry         : {} windows × {} cycles, mean {:.2} req/cycle, peak {:.2}",
-                series.samples.len(),
-                series.window,
-                series.mean_requests_per_cycle(),
-                series.peak_requests_per_cycle()
-            );
-        }
     }
     Ok(())
 }
 
-/// Parses `--k`, rejecting values the simulator cannot run (K must fill
-/// whole cache lines) before any simulation work starts.
-fn parse_k(args: &Args) -> Result<usize, String> {
-    let k: usize = args.get_parsed("k", 32)?;
-    let line = spade_matrix::FLOATS_PER_LINE;
-    if k == 0 || !k.is_multiple_of(line) {
-        return Err(format!(
-            "--k: {k} is not a multiple of the cache line ({line} floats)"
-        ));
-    }
-    Ok(k)
-}
-
-fn parse_kernel(args: &Args) -> Result<Primitive, String> {
-    match args.get("kernel").unwrap_or("spmm") {
-        "spmm" => Ok(Primitive::Spmm),
-        "sddmm" => Ok(Primitive::Sddmm),
-        other => Err(format!("--kernel: unknown kernel '{other}'")),
-    }
-}
-
-fn run(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["json", "barriers"])?;
-    let bench = parse_benchmark(&args)?;
-    let scale = parse_scale(&args)?;
-    let k = parse_k(&args)?;
-    let kernel = parse_kernel(&args)?;
-    let json = parse_format(&args)?;
-    let telemetry = parse_telemetry(&args)?;
-    let deadline = parse_deadline(&args)?;
-    let system_config = parse_system(&args)?;
-    let a = bench.generate(scale);
-    let plan = parse_plan(&args, &a)?;
-    let output = execute_observed(
-        &system_config,
-        &a,
-        bench.short_name(),
-        k,
-        kernel,
-        &plan,
-        telemetry,
-        false,
-        deadline,
-    )?;
-    print_report(
-        &output.report,
-        json,
-        RunSummary {
-            benchmark: bench.short_name(),
-            kernel: kernel.to_string(),
-            k,
-            pes: system_config.num_pes,
-            plan: &plan,
-            report: &output.report,
-            telemetry: output.telemetry.as_ref(),
-        },
-    )
-}
-
-/// `spade-cli trace <benchmark>`: run one workload with event tracing on
-/// and write a Chrome `trace_event` JSON file, viewable at
-/// `ui.perfetto.dev` or `chrome://tracing`. Telemetry counter tracks
-/// (requests/cycle, DRAM GB/s, in-flight reads, active PEs) ride along on
-/// a dedicated lane unless `--window 0` turns sampling off.
-fn trace_cmd(argv: &[String]) -> Result<(), String> {
-    // The benchmark may be positional (`spade-cli trace myc`) or a
-    // `--benchmark` flag like the other subcommands.
-    let (positional, rest) = match argv.first() {
-        Some(first) if !first.starts_with("--") => (Some(first.as_str()), &argv[1..]),
-        _ => (None, argv),
-    };
-    let args = Args::parse(rest, &[])?;
-    let bench = match positional {
-        Some(name) => lookup_benchmark(name)?,
-        None => parse_benchmark(&args)?,
-    };
-    let scale = parse_scale(&args)?;
-    let k = parse_k(&args)?;
-    let kernel = parse_kernel(&args)?;
-    let system_config = parse_system(&args)?;
-    let window: Cycle = args.get_parsed("window", 256)?;
-    let telemetry = (window > 0).then_some(window);
-    let a = bench.generate(scale);
-    let plan = parse_plan(&args, &a)?;
-    let output = execute_observed(
-        &system_config,
-        &a,
-        bench.short_name(),
-        k,
-        kernel,
-        &plan,
-        telemetry,
-        true,
-        None,
-    )?;
-    // The shared builder keeps local traces byte-identical to the
-    // daemon's wire-served `trace` responses.
-    let (chrome, events) = service::trace_document(&output, system_config.num_pes)?;
-    let out_path = match args.get("out") {
+/// Writes a `trace` result's Chrome-trace document to `out` (default
+/// `<benchmark>-<kernel>.trace.json`). Re-rendering the parsed value
+/// reproduces the handler's exact bytes: the codec's render∘parse
+/// fixpoint is pinned by the json fuzz suite.
+fn write_trace(result: &JsonValue, out: Option<&str>, note: &str) -> Result<(), String> {
+    let trace = result.get("trace").ok_or("result has no trace")?;
+    let out_path = match out {
         Some(p) => p.to_string(),
         None => format!(
             "{}-{}.trace.json",
-            bench.short_name(),
-            kernel.to_string().to_lowercase()
+            js(result, "benchmark"),
+            js(result, "kernel").to_lowercase()
         ),
     };
-    std::fs::write(&out_path, &chrome).map_err(|e| format!("{out_path}: {e}"))?;
+    std::fs::write(&out_path, trace.render()).map_err(|e| format!("{out_path}: {e}"))?;
     println!(
-        "wrote {out_path}: {events} events over {} cycles (load in ui.perfetto.dev)",
-        output.report.cycles
+        "wrote {out_path}: {} events over {} cycles{note} (load in ui.perfetto.dev)",
+        ju(result, "events"),
+        result.get("report").map_or(0, |r| ju(r, "cycles"))
     );
     Ok(())
 }
 
-/// Loads the `--model` file when given. A file that fails to load or
-/// validate degrades to `None` with a stderr warning, mirroring the
-/// daemon: a broken model costs advice quality, never availability.
-fn load_model_flag(args: &Args) -> Option<CostModel> {
-    let path = args.get("model")?;
-    match CostModel::load(std::path::Path::new(path)) {
-        Ok(m) => Some(m),
-        Err(e) => {
-            eprintln!("warning: cost model {path} unusable ({e}); falling back to the heuristic");
-            None
-        }
-    }
-}
-
-/// `spade-cli advise`: three-tier plan selection. The default (`--fast`)
-/// path never simulates — a trained `--model` (when it loads and is
-/// confident) ranks the candidate plans in microseconds, the structural
-/// heuristic answers otherwise. `--exact` is the demoted verification
-/// path: candidates are *simulated* (model-pruned to `--top-n` unless
-/// `--exhaustive`) and the measured optimum is reported as the
-/// `exhaustive` tier.
-fn advise_cmd(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["fast", "exact", "exhaustive", "json"])?;
-    if args.has("fast") && args.has("exact") {
-        return Err("--fast and --exact are mutually exclusive".into());
-    }
-    let bench = parse_benchmark(&args)?;
-    let scale = parse_scale(&args)?;
-    let k = parse_k(&args)?;
-    let json = parse_format(&args)?;
-    let system_config = parse_system(&args)?;
-    let top_n: usize = args.get_parsed("top-n", spade_bench::runner::PRUNE_TOP_N)?;
-    let a = bench.generate(scale);
-    let stats = MatrixStats::compute(&a);
-    let model = load_model_flag(&args);
-    let started = Instant::now();
-    let (plan, source, predicted, measured) = if args.has("exact") {
-        let w = Workload::from_matrix(bench.short_name().to_string(), a.clone(), k);
-        let ranker = if args.has("exhaustive") {
-            None
-        } else {
-            model.as_ref().map(|m| m as &dyn PlanRanker)
-        };
-        let (plan, report) = spade_bench::runner::find_opt_pruned(
-            &system_config,
-            &w,
-            Primitive::Spmm,
-            true,
-            ranker,
-            top_n,
-        );
-        (plan, "exhaustive", None, Some(report.cycles))
-    } else {
-        let ranker = model.as_ref().map(|m| m as &dyn PlanRanker);
-        let advice =
-            advisor::advise_tiered(&a, k, &system_config, ranker).map_err(|e| e.to_string())?;
-        (
-            advice.plan,
-            advice.source.as_str(),
-            advice.predicted_cycles,
-            None,
-        )
-    };
-    let latency_us = started.elapsed().as_secs_f64() * 1e6;
-    if json {
-        let features = MatrixFeatures::from_stats(&a, &stats);
-        let mut fields = vec![
-            ("benchmark", JsonValue::from(bench.short_name())),
-            ("scale", format!("{scale:?}").to_lowercase().into()),
-            ("k", k.into()),
-            ("pes", system_config.num_pes.into()),
-            ("source", source.into()),
-            ("latency_us", latency_us.into()),
-            ("plan", plan_json(&plan)),
-            (
-                "features",
-                JsonValue::object(features.to_pairs().into_iter().map(|(n, v)| (n, v.into()))),
-            ),
-        ];
-        if let Some(p) = predicted {
-            fields.push(("predicted_cycles", p.into()));
-        }
-        if let Some(c) = measured {
-            fields.push(("measured_cycles", c.into()));
-        }
-        println!("{}", JsonValue::object(fields).render());
-        return Ok(());
-    }
-    println!(
-        "{}: {} rows, {} nnz, RU={}",
-        bench.short_name(),
-        a.num_rows(),
-        a.nnz(),
-        stats.classify_ru()
-    );
-    println!(
-        "advised: RP={} CP={} rMatrix={:?} cMatrix={:?} barriers={}",
-        plan.tiling.row_panel_size,
-        plan.tiling.col_panel_size,
-        plan.r_policy,
-        plan.c_policy,
-        plan.barriers.is_enabled()
-    );
-    let note = match (predicted, measured) {
+/// Renders an `advise` result: the plan, its tier and the selection
+/// latency, with the predicted or measured cycles when known.
+fn print_advise(result: &JsonValue) -> Result<(), String> {
+    let plan = result.get("plan").ok_or("result has no plan")?;
+    let note = match (
+        result.get("predicted_cycles").and_then(JsonValue::as_f64),
+        result.get("measured_cycles").and_then(JsonValue::as_u64),
+    ) {
         (Some(p), _) => format!(", predicted {p:.0} cycles"),
         (_, Some(c)) => format!(", measured {c} cycles"),
         _ => String::new(),
     };
-    println!("source: {source} ({latency_us:.0} \u{3bc}s{note})");
+    println!(
+        "{} k={} pes={}: RP={} CP={} rMatrix={} barriers={} ({} tier, {} \u{3bc}s{note})",
+        js(result, "benchmark"),
+        ju(result, "k"),
+        ju(result, "pes"),
+        ju(plan, "row_panel_size"),
+        ju(plan, "col_panel_size"),
+        js(plan, "r_policy"),
+        plan.get("barriers") == Some(&JsonValue::Bool(true)),
+        js(result, "source"),
+        ju(result, "latency_us"),
+    );
     Ok(())
 }
 
-fn search(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["full", "json"])?;
-    let bench = parse_benchmark(&args)?;
-    let scale = parse_scale(&args)?;
-    let k = parse_k(&args)?;
-    let json = parse_format(&args)?;
-    let telemetry = parse_telemetry(&args)?;
-    let deadline = parse_deadline(&args)?;
-    let system_config = parse_system(&args)?;
-    let a = bench.generate(scale);
-    let space = if args.has("full") {
-        PlanSearchSpace::table3(k)
-    } else {
-        PlanSearchSpace::quick(k)
-    };
-    // Fan the candidate sweep across host cores (SPADE_THREADS overrides).
-    let workload = Arc::new(Workload::from_matrix(
-        bench.short_name().to_string(),
-        a.clone(),
-        k,
-    ));
-    let pes = system_config.num_pes;
-    let config = Arc::new(system_config);
-    let plans = space.enumerate(a.num_cols());
-    let jobs: Vec<Job> = plans
-        .iter()
-        .map(|&plan| {
-            Job::new(&workload, &config, Primitive::Spmm, plan)
-                .with_telemetry(telemetry)
-                .with_deadline_cycles(deadline)
-        })
-        .collect();
-    let start = Instant::now();
-    // One failing candidate should cost its own slot, not the sweep.
-    let outcomes = ParallelRunner::from_env().run_outputs(&jobs);
-    let reports: Vec<RunReport> = outcomes
-        .iter()
-        .flatten()
-        .map(|o| o.report.clone())
-        .collect();
-    if !json {
-        println!(
-            "{}",
-            parallel::throughput_summary(&reports, start.elapsed())
-        );
-    }
-    let mut failures = 0usize;
-    let mut results: Vec<(ExecutionPlan, JobOutput)> = Vec::with_capacity(plans.len());
-    for (plan, outcome) in plans.into_iter().zip(&outcomes) {
-        match outcome {
-            Ok(o) => results.push((plan, o.clone())),
-            Err(e) => {
-                failures += 1;
-                eprintln!("warning: candidate plan failed: {e}");
-            }
-        }
-    }
-    if results.is_empty() {
-        return Err(format!("all {failures} candidate plans failed"));
-    }
-    results.sort_by_key(|(_, o)| o.report.cycles);
-    if json {
-        let candidates: Vec<JsonValue> = results
-            .iter()
-            .map(|(plan, o)| {
-                let mut fields = vec![
-                    ("plan", plan_json(plan)),
-                    ("cycles", o.report.cycles.into()),
-                    ("dram_accesses", o.report.dram_accesses.into()),
-                    ("requests_per_cycle", o.report.requests_per_cycle.into()),
-                ];
-                if let Some(series) = &o.telemetry {
-                    fields.push(("telemetry", series.to_json()));
-                }
-                JsonValue::object(fields)
-            })
-            .collect();
-        let doc = JsonValue::object([
-            ("benchmark", bench.short_name().into()),
-            ("k", k.into()),
-            ("pes", pes.into()),
-            ("failures", failures.into()),
-            ("candidates", JsonValue::Array(candidates)),
-        ]);
-        println!("{}", doc.render());
-        return Ok(());
-    }
-    println!("{} plans searched; best first:", results.len());
-    for (plan, output) in results.iter().take(5) {
-        let telemetry_note = match &output.telemetry {
-            Some(series) => format!("  peak {:.2} req/cyc", series.peak_requests_per_cycle()),
-            None => String::new(),
-        };
-        println!(
-            "  {:>10} cycles  RP={:<6} CP={:<8} {:?} barriers={}{}",
-            output.report.cycles,
-            plan.tiling.row_panel_size,
-            plan.tiling.col_panel_size,
-            plan.r_policy,
-            plan.barriers.is_enabled(),
-            telemetry_note
-        );
-    }
-    Ok(())
-}
-
+/// `spade-cli mm`: advise a plan for a MatrixMarket file and run it. A
+/// file matrix is not a wire benchmark, so this runs its job directly
+/// and renders the result like a `run`.
 fn run_mm(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["json"])?;
+    let args = Args::parse(argv, &["file", "k", "pes", "format"], &["json"])?;
+    let json = parse_format(&args)?;
     let path = args.get("file").ok_or("--file is required")?;
     let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
     let a = mm::read_matrix_market(BufReader::new(file)).map_err(|e| e.to_string())?;
     let k = parse_k(&args)?;
-    let system_config = parse_system(&args)?;
-    let plan = advisor::advise(&a, k, &system_config).map_err(|e| e.to_string())?;
-    let report = execute(&system_config, &a, path, k, Primitive::Spmm, &plan)?;
-    print_report(
-        &report,
-        parse_format(&args)?,
-        RunSummary {
-            benchmark: path,
-            kernel: Primitive::Spmm.to_string(),
-            k,
-            pes: system_config.num_pes,
-            plan: &plan,
-            report: &report,
-            telemetry: None,
-        },
-    )
+    let config = SystemConfig::scaled(parse_pes(&args)?);
+    let plan = advisor::advise(&a, k, &config).map_err(|e| e.to_string())?;
+    let workload = Arc::new(Workload::from_matrix(path, a, k));
+    let job = Job::new(&workload, &Arc::new(config), Primitive::Spmm, plan);
+    let output = job.try_execute_full().map_err(|e| e.to_string())?;
+    let result = service::run_result_json(&job, &output);
+    if json {
+        println!("{}", result.render());
+        return Ok(());
+    }
+    print_run(&result, "")
 }
 
 /// `spade-cli serve`: the always-on experiment daemon — newline-delimited
@@ -710,22 +568,38 @@ fn run_mm(argv: &[String]) -> Result<(), String> {
 /// SIGTERM/ctrl-c (or an in-band `shutdown` request) drains in-flight
 /// jobs, flushes the cache index and exits 0.
 fn serve(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["log-json"])?;
+    let args = Args::parse(
+        argv,
+        &[
+            "addr",
+            "cache-dir",
+            "workers",
+            "queue",
+            "max-connections",
+            "deadline-cycles",
+            "read-timeout-ms",
+            "model",
+        ],
+        &["log-json"],
+    )?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:7700").to_string();
-    let mut config = service::ServiceConfig::default();
+    let mut config = ServiceConfig::default();
     config.workers = args.get_parsed("workers", config.workers)?;
     config.queue_capacity = args.get_parsed("queue", config.queue_capacity)?;
     config.max_connections = args.get_parsed("max-connections", config.max_connections)?;
-    if let Some(d) = parse_deadline(&args)? {
-        config.default_deadline_cycles = Some(d);
+    if let Some(v) = args.get("deadline-cycles") {
+        match parse_flag_u64("deadline-cycles", v)? {
+            0 => return Err("--deadline-cycles: need at least one cycle".into()),
+            d => config.default_deadline_cycles = Some(d),
+        }
     }
     let timeout_ms: u64 =
         args.get_parsed("read-timeout-ms", config.read_timeout.as_millis() as u64)?;
     config.read_timeout = std::time::Duration::from_millis(timeout_ms.max(1));
-    config.cache_dir = args.get("cache-dir").map(std::path::PathBuf::from);
+    config.cache_dir = args.get("cache-dir").map(PathBuf::from);
     // `--model` arms the advise request's model tier; a file that fails
     // to load logs a warning at bind and the heuristic answers instead.
-    config.model_path = args.get("model").map(std::path::PathBuf::from);
+    config.model_path = args.get("model").map(PathBuf::from);
     // `--log-json` turns the request log spans on explicitly; the
     // SPADE_LOG=json environment default (already in `config`) stays
     // effective either way.
@@ -758,12 +632,12 @@ fn serve(argv: &[String]) -> Result<(), String> {
 /// primitive for smoke tests, cache-warm sweeps and operations.
 ///
 /// Two modes share one wire protocol: raw (`--request '<json>'` sends
-/// the line verbatim) and typed subcommands (`ping`, `status`,
-/// `metrics`, `query`, `batch`, `agg`, `best-plans`, `run`, `search`,
-/// `trace`, `shutdown`) that build the request from flags. Every subcommand honours `--format
-/// json|text`: `json` prints the daemon's response line untouched,
-/// `text` a human rendering. A protocol-level failure prints the raw
-/// response and exits non-zero either way.
+/// the line verbatim) and typed subcommands that build the request from
+/// flags. `run`, `trace`, `search` and `advise` are the local commands
+/// sent over `--addr`. Every subcommand honours `--format json|text`:
+/// `json` prints the daemon's response line untouched, `text` a human
+/// rendering. A protocol-level failure prints the raw response and exits
+/// non-zero either way.
 fn client(argv: &[String]) -> Result<(), String> {
     let (sub, rest) = match argv.first() {
         Some(first) if !first.starts_with("--") => (Some(first.as_str()), &argv[1..]),
@@ -771,18 +645,12 @@ fn client(argv: &[String]) -> Result<(), String> {
     };
     match sub {
         None => client_raw(rest),
-        Some("ping") => client_simple(rest, "ping"),
-        Some("shutdown") => client_simple(rest, "shutdown"),
+        Some(cmd @ ("ping" | "shutdown")) => client_simple(rest, cmd),
         Some("status") => client_status(rest),
         Some("metrics") => client_metrics(rest),
-        Some("query") => client_query(rest),
+        Some(sub @ ("query" | "agg" | "best-plans")) => client_query(rest, sub),
         Some("batch") => client_batch(rest),
-        Some("agg") => client_agg(rest, None),
-        Some("best-plans") => client_agg(rest, Some("benchmark")),
-        Some("run") => client_job(rest, "run"),
-        Some("search") => client_job(rest, "search"),
-        Some("trace") => client_trace(rest),
-        Some("advise") => client_advise(rest),
+        Some(cmd @ ("run" | "trace" | "search" | "advise")) => request(cmd, rest, true),
         Some(other) => Err(format!("client: unknown subcommand '{other}'")),
     }
 }
@@ -824,14 +692,10 @@ fn client_roundtrip(
     }
 }
 
-/// A `u64` response field, defaulting to 0 — display only, never logic.
-fn ju(doc: &JsonValue, key: &str) -> u64 {
-    doc.get(key).and_then(JsonValue::as_u64).unwrap_or(0)
-}
-
-fn parse_flag_u64(name: &str, v: &str) -> Result<u64, String> {
-    v.parse()
-        .map_err(|_| format!("--{name}: cannot parse '{v}'"))
+/// Connects to `--addr` and sends one request.
+fn client_call(args: &Args, request: &str) -> Result<(String, JsonValue), String> {
+    let (addr, mut client) = client_connect(args, MAX_FRAME_BYTES)?;
+    client_roundtrip(&mut client, &addr, request)
 }
 
 /// Raw mode: `--request '<json>'`. The request is one JSON document on
@@ -839,30 +703,32 @@ fn parse_flag_u64(name: &str, v: &str) -> Result<u64, String> {
 /// string) are folded to spaces — insignificant between JSON tokens,
 /// fatal to the framing.
 fn client_raw(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["addr", "request"], &[])?;
     let request = args
         .get("request")
         .ok_or("--request is required")?
         .replace(['\n', '\r'], " ");
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
-    let (response, _doc) = client_roundtrip(&mut client, &addr, &request)?;
+    let (response, _doc) = client_call(&args, &request)?;
     println!("{response}");
     Ok(())
 }
 
 /// `client ping` / `client shutdown`: one command word, no payload.
 fn client_simple(argv: &[String], cmd: &str) -> Result<(), String> {
-    let args = Args::parse(argv, &["json"])?;
+    let args = Args::parse(argv, &["addr", "format"], &["json"])?;
     let json = parse_format(&args)?;
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
     let request = JsonValue::object([("cmd", cmd.into())]).render();
-    let (response, doc) = client_roundtrip(&mut client, &addr, &request)?;
+    let (response, doc) = client_call(&args, &request)?;
     if json {
         println!("{response}");
     } else if cmd == "ping" {
-        println!("{addr}: ok (protocol {})", ju(&doc, "protocol"));
+        println!(
+            "{}: ok (protocol {})",
+            args.get("addr").unwrap_or("?"),
+            ju(&doc, "protocol")
+        );
     } else {
-        println!("{addr}: draining");
+        println!("{}: draining", args.get("addr").unwrap_or("?"));
     }
     Ok(())
 }
@@ -870,17 +736,17 @@ fn client_simple(argv: &[String], cmd: &str) -> Result<(), String> {
 /// `client status`: the daemon's live state as a human table (or the
 /// raw response with `--format json`).
 fn client_status(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["json"])?;
+    let args = Args::parse(argv, &["addr", "format"], &["json"])?;
     let json = parse_format(&args)?;
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
     let request = JsonValue::object([("cmd", "status".into())]).render();
-    let (response, doc) = client_roundtrip(&mut client, &addr, &request)?;
+    let (response, doc) = client_call(&args, &request)?;
     if json {
         println!("{response}");
         return Ok(());
     }
     println!(
-        "daemon {addr}  protocol {}  uptime {} ms{}",
+        "daemon {}  protocol {}  uptime {} ms{}",
+        args.get("addr").unwrap_or("?"),
         ju(&doc, "protocol"),
         ju(&doc, "uptime_ms"),
         if doc.get("shutting_down").and_then(JsonValue::as_bool) == Some(true) {
@@ -923,19 +789,17 @@ fn client_status(argv: &[String]) -> Result<(), String> {
 /// snapshot — no HTTP endpoint anywhere), `--format json` the raw
 /// response, text a compact value listing.
 fn client_metrics(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["json", "prom"])?;
+    let args = Args::parse(argv, &["addr", "format"], &["json", "prom"])?;
     let json = parse_format(&args)?;
-    let prom = args.has("prom");
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
     let request = JsonValue::object([("cmd", "metrics".into())]).render();
-    let (response, doc) = client_roundtrip(&mut client, &addr, &request)?;
+    let (response, doc) = client_call(&args, &request)?;
     if json {
         println!("{response}");
         return Ok(());
     }
     let result = doc.get("result").ok_or("metrics response has no result")?;
     let snapshot = spade_bench::metrics::MetricsSnapshot::from_json(result)?;
-    if prom {
+    if args.has("prom") {
         print!("{}", snapshot.to_prometheus());
         return Ok(());
     }
@@ -965,37 +829,55 @@ fn client_metrics(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `client query`: filter the daemon's cache dataset. Every filter flag
-/// is optional; matches come back sorted by (benchmark, kernel,
-/// cycles), so the first row per benchmark is its best plan.
-fn client_query(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["json"])?;
+/// `client query` / `client agg` / `client best-plans`: filter the
+/// daemon's cache dataset. Every filter flag is optional. `query` lists
+/// the matches sorted by (benchmark, kernel, cycles), so the first row
+/// per benchmark is its best plan; `agg` folds them server-side by
+/// `--group-by benchmark|kernel|pes`; `best-plans` is the preset
+/// `--group-by benchmark --kind run`, the best-plan-per-matrix fold.
+fn client_query(argv: &[String], sub: &str) -> Result<(), String> {
+    let mut values = vec![
+        "addr",
+        "format",
+        "benchmark",
+        "kernel",
+        "kind",
+        "k",
+        "pes",
+        "min-cycles",
+        "max-cycles",
+        "limit",
+    ];
+    if sub != "query" {
+        values.push("group-by");
+    }
+    let args = Args::parse(argv, &values, &["json"])?;
     let json = parse_format(&args)?;
-    let mut fields: Vec<(&str, JsonValue)> = vec![("cmd", "query".into())];
-    for key in ["benchmark", "kernel", "kind"] {
-        if let Some(v) = args.get(key) {
-            fields.push((key, v.into()));
+    let mut fields = request_doc("query", &args)?;
+    if sub == "best-plans" {
+        for (flag, preset) in [("group-by", "benchmark"), ("kind", "run")] {
+            if args.get(flag).is_none() {
+                fields.push((flag.replace('-', "_"), preset.into()));
+            }
         }
+    } else if sub == "agg" && args.get("group-by").is_none() {
+        return Err("--group-by is required (benchmark|kernel|pes)".into());
     }
-    for (flag, key) in [
-        ("k", "k"),
-        ("pes", "pes"),
-        ("min-cycles", "min_cycles"),
-        ("max-cycles", "max_cycles"),
-        ("limit", "limit"),
-    ] {
-        if let Some(v) = args.get(flag) {
-            fields.push((key, parse_flag_u64(flag, v)?.into()));
-        }
-    }
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
-    let (response, doc) =
-        client_roundtrip(&mut client, &addr, &JsonValue::object(fields).render())?;
+    let (response, doc) = client_call(&args, &JsonValue::Object(fields).render())?;
     if json {
         println!("{response}");
         return Ok(());
     }
     let result = doc.get("result").ok_or("query response has no result")?;
+    if sub == "query" {
+        print_entries(result)
+    } else {
+        print_groups(result)
+    }
+}
+
+/// Renders a plain `query` result: one row per matching cache entry.
+fn print_entries(result: &JsonValue) -> Result<(), String> {
     println!(
         "matched {} of {} cached entries (showing {})",
         ju(result, "matched"),
@@ -1014,32 +896,54 @@ fn client_query(argv: &[String]) -> Result<(), String> {
         "kind", "bench", "kernel", "k", "pes", "cycles", "dram", "plan"
     );
     for e in entries {
-        let plan = match e.get("plan") {
-            None | Some(JsonValue::Null) => "-".to_string(),
-            Some(p) => format!(
-                "rp={} cp={}{}",
-                ju(p, "row_panel_size"),
-                ju(p, "col_panel_size"),
-                if p.get("barriers").and_then(JsonValue::as_bool) == Some(true) {
-                    " b"
-                } else {
-                    ""
-                }
-            ),
-        };
         println!(
             "{:<7} {:<6} {:<6} {:>5} {:>5} {:>12} {:>10}  {:<18} {}",
-            e.get("kind").and_then(JsonValue::as_str).unwrap_or("?"),
-            e.get("benchmark")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("?"),
-            e.get("kernel").and_then(JsonValue::as_str).unwrap_or("?"),
+            js(e, "kind"),
+            js(e, "benchmark"),
+            js(e, "kernel"),
             ju(e, "k"),
             ju(e, "pes"),
             ju(e, "cycles"),
             ju(e, "dram_accesses"),
-            plan,
-            e.get("key").and_then(JsonValue::as_str).unwrap_or("?")
+            plan_summary(e.get("plan")),
+            js(e, "key")
+        );
+    }
+    Ok(())
+}
+
+/// Renders a `group_by` query result: one row per group with its best
+/// entry.
+fn print_groups(result: &JsonValue) -> Result<(), String> {
+    println!(
+        "group_by {}: {} groups over {} matched of {} cached entries",
+        js(result, "group_by"),
+        ju(result, "returned"),
+        ju(result, "matched"),
+        ju(result, "total")
+    );
+    let groups = result
+        .get("groups")
+        .and_then(JsonValue::as_array)
+        .ok_or("agg response has no groups")?;
+    if groups.is_empty() {
+        return Ok(());
+    }
+    println!(
+        "{:<10} {:>5} {:>12} {:>12} {:>14}  {:<18} best key",
+        "group", "n", "min", "max", "mean", "best plan"
+    );
+    for g in groups {
+        let best = g.get("best");
+        println!(
+            "{:<10} {:>5} {:>12} {:>12} {:>14.1}  {:<18} {}",
+            js(g, "group"),
+            ju(g, "count"),
+            ju(g, "min_cycles"),
+            ju(g, "max_cycles"),
+            jf(g, "mean_cycles"),
+            plan_summary(best.and_then(|b| b.get("plan"))),
+            best.map_or("?", |b| js(b, "key"))
         );
     }
     Ok(())
@@ -1069,74 +973,49 @@ fn comma_list_u64(name: &str, v: &str) -> Result<Vec<JsonValue>, String> {
 
 /// `client batch`: one request, a whole sweep. The comma-list flags
 /// form the server-side cross product (benchmarks × kernels × k × pes);
-/// the singular plan/scale/cache flags apply to every job. The daemon
+/// the singular plan/scale/deadline/cache flags apply to every job. The daemon
 /// fans the jobs out through its admission queue and replies once, with
 /// per-job payloads in job order.
 fn client_batch(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["json", "barriers", "no-cache"])?;
-    let json = parse_format(&args)?;
-    let mut sweep: Vec<(&str, JsonValue)> = Vec::new();
-    let benchmarks = comma_list(
-        "benchmarks",
-        args.get("benchmarks").ok_or("--benchmarks is required")?,
-    )?;
-    sweep.push((
-        "benchmarks",
-        JsonValue::Array(benchmarks.iter().map(|b| b.as_str().into()).collect()),
-    ));
-    if let Some(v) = args.get("kernels") {
-        sweep.push((
+    let args = Args::parse(
+        argv,
+        &[
+            "addr",
+            "format",
+            "benchmarks",
             "kernels",
-            JsonValue::Array(
-                comma_list("kernels", v)?
-                    .iter()
-                    .map(|k| k.as_str().into())
-                    .collect(),
-            ),
-        ));
-    }
-    for (flag, key) in [("k", "k"), ("pes", "pes")] {
-        if let Some(v) = args.get(flag) {
-            sweep.push((key, JsonValue::Array(comma_list_u64(flag, v)?)));
+            "k",
+            "pes",
+            "rp",
+            "cp",
+            "rmatrix",
+            "scale",
+            "deadline-cycles",
+        ],
+        &["json", "barriers", "no-cache"],
+    )?;
+    let json = parse_format(&args)?;
+    args.get("benchmarks").ok_or("--benchmarks is required")?;
+    // The comma-list flags are the sweep axes; every other flag is a
+    // batch-level field, the default for each job.
+    let axes = ["benchmarks", "kernels", "k", "pes"];
+    let mut sweep = Vec::new();
+    for axis in axes {
+        if let Some(v) = args.get(axis) {
+            let items = if matches!(axis, "k" | "pes") {
+                comma_list_u64(axis, v)?
+            } else {
+                comma_list(axis, v)?
+                    .into_iter()
+                    .map(JsonValue::from)
+                    .collect()
+            };
+            sweep.push((axis, JsonValue::Array(items)));
         }
     }
-    let mut plan: Vec<(&str, JsonValue)> = Vec::new();
-    if let Some(v) = args.get("rp") {
-        plan.push(("rp", parse_flag_u64("rp", v)?.into()));
-    }
-    if let Some(v) = args.get("cp") {
-        if v == "all" {
-            plan.push(("cp", "all".into()));
-        } else {
-            plan.push(("cp", parse_flag_u64("cp", v)?.into()));
-        }
-    }
-    if let Some(v) = args.get("rmatrix") {
-        plan.push(("rmatrix", v.into()));
-    }
-    if args.has("barriers") {
-        plan.push(("barriers", true.into()));
-    }
-    if !plan.is_empty() {
-        sweep.push(("plans", JsonValue::Array(vec![JsonValue::object(plan)])));
-    }
-    let mut fields: Vec<(&str, JsonValue)> =
-        vec![("cmd", "batch".into()), ("sweep", JsonValue::object(sweep))];
-    if let Some(v) = args.get("scale") {
-        fields.push(("scale", v.into()));
-    }
-    if let Some(v) = args.get("deadline-cycles") {
-        fields.push((
-            "deadline_cycles",
-            parse_flag_u64("deadline-cycles", v)?.into(),
-        ));
-    }
-    if args.has("no-cache") {
-        fields.push(("no_cache", true.into()));
-    }
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
-    let (response, doc) =
-        client_roundtrip(&mut client, &addr, &JsonValue::object(fields).render())?;
+    let mut fields = request_doc("batch", &args.without(&axes))?;
+    fields.push(("sweep".into(), JsonValue::object(sweep)));
+    let (response, doc) = client_call(&args, &JsonValue::Object(fields).render())?;
     if json {
         println!("{response}");
         return Ok(());
@@ -1166,27 +1045,19 @@ fn client_batch(argv: &[String]) -> Result<(), String> {
             };
             println!(
                 "  [{index}] {} {} k={} pes={}: {} cycles, {} DRAM accesses{cached}",
-                r.get("benchmark")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("?"),
-                r.get("kernel").and_then(JsonValue::as_str).unwrap_or("?"),
+                js(r, "benchmark"),
+                js(r, "kernel"),
                 ju(r, "k"),
                 ju(r, "pes"),
                 ju(report, "cycles"),
                 ju(report, "dram_accesses")
             );
         } else {
-            let error = job.get("error");
+            let error = job.get("error").ok_or("batch job has no error")?;
             println!(
                 "  [{index}] error {}: {}",
-                error
-                    .and_then(|e| e.get("kind"))
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("?"),
-                error
-                    .and_then(|e| e.get("message"))
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or("?")
+                js(error, "kind"),
+                js(error, "message")
             );
         }
     }
@@ -1195,330 +1066,6 @@ fn client_batch(argv: &[String]) -> Result<(), String> {
     if ju(result, "failed") + ju(result, "rejected") > 0 {
         return Err(String::new());
     }
-    Ok(())
-}
-
-/// `client agg` / `client best-plans`: server-side aggregation over the
-/// cache dataset. `agg` requires `--group-by benchmark|kernel|pes`;
-/// `best-plans` is the preset `--group-by benchmark --kind run`, the
-/// best-plan-per-matrix fold EXPERIMENTS.md used to script client-side.
-fn client_agg(argv: &[String], preset_group_by: Option<&str>) -> Result<(), String> {
-    let args = Args::parse(argv, &["json"])?;
-    let json = parse_format(&args)?;
-    let group_by = match (args.get("group-by"), preset_group_by) {
-        (Some(v), _) => v,
-        (None, Some(preset)) => preset,
-        (None, None) => return Err("--group-by is required (benchmark|kernel|pes)".into()),
-    };
-    let mut fields: Vec<(&str, JsonValue)> =
-        vec![("cmd", "query".into()), ("group_by", group_by.into())];
-    for key in ["benchmark", "kernel", "kind"] {
-        if let Some(v) = args.get(key) {
-            fields.push((key, v.into()));
-        }
-    }
-    if preset_group_by.is_some() && args.get("kind").is_none() {
-        fields.push(("kind", "run".into()));
-    }
-    for (flag, key) in [
-        ("k", "k"),
-        ("pes", "pes"),
-        ("min-cycles", "min_cycles"),
-        ("max-cycles", "max_cycles"),
-        ("limit", "limit"),
-    ] {
-        if let Some(v) = args.get(flag) {
-            fields.push((key, parse_flag_u64(flag, v)?.into()));
-        }
-    }
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
-    let (response, doc) =
-        client_roundtrip(&mut client, &addr, &JsonValue::object(fields).render())?;
-    if json {
-        println!("{response}");
-        return Ok(());
-    }
-    let result = doc.get("result").ok_or("agg response has no result")?;
-    println!(
-        "group_by {}: {} groups over {} matched of {} cached entries",
-        result
-            .get("group_by")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?"),
-        ju(result, "returned"),
-        ju(result, "matched"),
-        ju(result, "total")
-    );
-    let groups = result
-        .get("groups")
-        .and_then(JsonValue::as_array)
-        .ok_or("agg response has no groups")?;
-    if groups.is_empty() {
-        return Ok(());
-    }
-    println!(
-        "{:<10} {:>5} {:>12} {:>12} {:>14}  {:<18} best key",
-        "group", "n", "min", "max", "mean", "best plan"
-    );
-    for g in groups {
-        let best = g.get("best");
-        let plan = match best.and_then(|b| b.get("plan")) {
-            None | Some(JsonValue::Null) => "-".to_string(),
-            Some(p) => format!(
-                "rp={} cp={}{}",
-                ju(p, "row_panel_size"),
-                ju(p, "col_panel_size"),
-                if p.get("barriers").and_then(JsonValue::as_bool) == Some(true) {
-                    " b"
-                } else {
-                    ""
-                }
-            ),
-        };
-        let mean = g
-            .get("mean_cycles")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(0.0);
-        println!(
-            "{:<10} {:>5} {:>12} {:>12} {:>14.1}  {:<18} {}",
-            g.get("group").and_then(JsonValue::as_str).unwrap_or("?"),
-            ju(g, "count"),
-            ju(g, "min_cycles"),
-            ju(g, "max_cycles"),
-            mean,
-            plan,
-            best.and_then(|b| b.get("key"))
-                .and_then(JsonValue::as_str)
-                .unwrap_or("?")
-        );
-    }
-    Ok(())
-}
-
-/// The wire fields shared by `client run|search|trace`, built from the
-/// same flags the local subcommands take. Validation happens
-/// server-side; the client only insists that numbers parse.
-fn wire_job_fields(args: &Args, cmd: &str) -> Result<Vec<(&'static str, JsonValue)>, String> {
-    let mut fields: Vec<(&'static str, JsonValue)> = Vec::new();
-    fields.push((
-        "benchmark",
-        args.get("benchmark")
-            .ok_or("--benchmark is required")?
-            .into(),
-    ));
-    if let Some(v) = args.get("scale") {
-        fields.push(("scale", v.into()));
-    }
-    if let Some(v) = args.get("kernel") {
-        fields.push(("kernel", v.into()));
-    }
-    for (flag, key) in [("k", "k"), ("pes", "pes"), ("rp", "rp")] {
-        if let Some(v) = args.get(flag) {
-            fields.push((key, parse_flag_u64(flag, v)?.into()));
-        }
-    }
-    if let Some(v) = args.get("cp") {
-        if v == "all" {
-            fields.push(("cp", "all".into()));
-        } else {
-            fields.push(("cp", parse_flag_u64("cp", v)?.into()));
-        }
-    }
-    if let Some(v) = args.get("rmatrix") {
-        fields.push(("rmatrix", v.into()));
-    }
-    if args.has("barriers") {
-        fields.push(("barriers", true.into()));
-    }
-    if let Some(v) = args.get("deadline-cycles") {
-        fields.push((
-            "deadline_cycles",
-            parse_flag_u64("deadline-cycles", v)?.into(),
-        ));
-    }
-    if args.has("no-cache") {
-        fields.push(("no_cache", true.into()));
-    }
-    if cmd == "search" && args.has("full") {
-        fields.push(("full", true.into()));
-    }
-    Ok(fields)
-}
-
-/// `client run` / `client search`: submit one job to the daemon.
-fn client_job(argv: &[String], cmd: &'static str) -> Result<(), String> {
-    let args = Args::parse(argv, &["json", "barriers", "no-cache", "full"])?;
-    let json = parse_format(&args)?;
-    let mut fields: Vec<(&str, JsonValue)> = vec![("cmd", cmd.into())];
-    fields.extend(wire_job_fields(&args, cmd)?);
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
-    let (response, doc) =
-        client_roundtrip(&mut client, &addr, &JsonValue::object(fields).render())?;
-    if json {
-        println!("{response}");
-        return Ok(());
-    }
-    let result = doc.get("result").ok_or("response has no result")?;
-    let cached = if doc.get("cached").and_then(JsonValue::as_bool) == Some(true) {
-        "cached"
-    } else {
-        "fresh"
-    };
-    let key = doc.get("key").and_then(JsonValue::as_str).unwrap_or("-");
-    if cmd == "run" {
-        let report = result.get("report").ok_or("result has no report")?;
-        println!(
-            "{} {} k={} pes={}: {} cycles, {} DRAM accesses ({cached}, key {key})",
-            result
-                .get("benchmark")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("?"),
-            result
-                .get("kernel")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("?"),
-            ju(result, "k"),
-            ju(result, "pes"),
-            ju(report, "cycles"),
-            ju(report, "dram_accesses")
-        );
-    } else {
-        let candidates = result
-            .get("candidates")
-            .and_then(JsonValue::as_array)
-            .ok_or("result has no candidates")?;
-        println!(
-            "{} k={} pes={}: {} plans, {} failures ({cached}, key {key}); best first:",
-            result
-                .get("benchmark")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("?"),
-            ju(result, "k"),
-            ju(result, "pes"),
-            candidates.len(),
-            ju(result, "failures")
-        );
-        for c in candidates.iter().take(5) {
-            let plan = c.get("plan");
-            println!(
-                "  {:>10} cycles  RP={:<6} CP={:<8} barriers={}",
-                ju(c, "cycles"),
-                plan.map_or(0, |p| ju(p, "row_panel_size")),
-                plan.map_or(0, |p| ju(p, "col_panel_size")),
-                plan.and_then(|p| p.get("barriers"))
-                    .and_then(JsonValue::as_bool)
-                    .unwrap_or(false)
-            );
-        }
-    }
-    Ok(())
-}
-
-/// `client advise`: millisecond plan selection from the daemon. Advise
-/// is answered on the connection thread, so it works even when every
-/// simulation worker is busy.
-fn client_advise(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["json"])?;
-    let json = parse_format(&args)?;
-    let mut fields: Vec<(&str, JsonValue)> = vec![("cmd", "advise".into())];
-    fields.push((
-        "benchmark",
-        args.get("benchmark")
-            .ok_or("--benchmark is required")?
-            .into(),
-    ));
-    if let Some(v) = args.get("scale") {
-        fields.push(("scale", v.into()));
-    }
-    for flag in ["k", "pes"] {
-        if let Some(v) = args.get(flag) {
-            fields.push((flag, parse_flag_u64(flag, v)?.into()));
-        }
-    }
-    let (addr, mut client) = client_connect(&args, spade_sim::json::MAX_FRAME_BYTES)?;
-    let (response, doc) =
-        client_roundtrip(&mut client, &addr, &JsonValue::object(fields).render())?;
-    if json {
-        println!("{response}");
-        return Ok(());
-    }
-    let result = doc.get("result").ok_or("response has no result")?;
-    let plan = result.get("plan").ok_or("result has no plan")?;
-    println!(
-        "{} k={} pes={}: RP={} CP={} rMatrix={} barriers={} ({} tier, {} \u{3bc}s)",
-        result
-            .get("benchmark")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?"),
-        ju(result, "k"),
-        ju(result, "pes"),
-        ju(plan, "row_panel_size"),
-        ju(plan, "col_panel_size"),
-        plan.get("r_policy")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?"),
-        plan.get("barriers")
-            .and_then(JsonValue::as_bool)
-            .unwrap_or(false),
-        result
-            .get("source")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("?"),
-        ju(result, "latency_us"),
-    );
-    Ok(())
-}
-
-/// `client trace`: run (or cache-serve) a traced job on the daemon and
-/// write the Chrome-trace JSON locally — byte-identical to what
-/// `spade-cli trace` produces for the same job. Trace responses are one
-/// long line, so the read limit is raised well past the default.
-fn client_trace(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &["json", "barriers", "no-cache"])?;
-    let json = parse_format(&args)?;
-    let mut fields: Vec<(&str, JsonValue)> = vec![("cmd", "trace".into())];
-    fields.extend(wire_job_fields(&args, "trace")?);
-    if let Some(v) = args.get("window") {
-        fields.push(("window", parse_flag_u64("window", v)?.into()));
-    }
-    let (addr, mut client) = client_connect(&args, 256 << 20)?;
-    let (response, doc) =
-        client_roundtrip(&mut client, &addr, &JsonValue::object(fields).render())?;
-    if json {
-        println!("{response}");
-        return Ok(());
-    }
-    let result = doc.get("result").ok_or("trace response has no result")?;
-    let trace = result.get("trace").ok_or("trace response has no trace")?;
-    let out_path = match args.get("out") {
-        Some(p) => p.to_string(),
-        None => format!(
-            "{}-{}.trace.json",
-            result
-                .get("benchmark")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("remote"),
-            result
-                .get("kernel")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("spmm")
-                .to_lowercase()
-        ),
-    };
-    // Re-rendering the parsed value reproduces the daemon's exact bytes:
-    // the codec's render∘parse fixpoint is pinned by the json fuzz suite.
-    std::fs::write(&out_path, trace.render()).map_err(|e| format!("{out_path}: {e}"))?;
-    let report = result.get("report");
-    let cached = if doc.get("cached").and_then(JsonValue::as_bool) == Some(true) {
-        "cached"
-    } else {
-        "fresh"
-    };
-    println!(
-        "wrote {out_path}: {} events over {} cycles ({cached}, load in ui.perfetto.dev)",
-        ju(result, "events"),
-        report.map_or(0, |r| ju(r, "cycles"))
-    );
     Ok(())
 }
 
@@ -1531,13 +1078,10 @@ fn client_trace(argv: &[String]) -> Result<(), String> {
 /// the summary) when the geomean event/naive speedup falls below the given
 /// floor.
 fn bench_perf(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["scale", "k", "pes", "gate-speedup", "out"], &[])?;
     let scale = parse_scale(&args)?;
     let k = parse_k(&args)?;
-    let pes: usize = args.get_parsed("pes", 56)?;
-    if pes == 0 || !pes.is_multiple_of(4) {
-        return Err("--pes must be a positive multiple of 4".into());
-    }
+    let pes = parse_pes(&args)?;
     let gate_speedup: f64 = args.get_parsed("gate-speedup", 0.0)?;
     let out = args.get("out").unwrap_or("BENCH_sim.json").to_string();
     let host_start = Instant::now();
@@ -1591,7 +1135,7 @@ fn dataset(argv: &[String]) -> Result<(), String> {
 /// stale and skips (with a counted warning) entries that fail their
 /// checksum — a damaged cache degrades the dataset, never the export.
 fn dataset_export(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["cache-dir", "out"], &[])?;
     let dir = args.get("cache-dir").ok_or("--cache-dir is required")?;
     let doc =
         service::export_dataset(std::path::Path::new(dir)).map_err(|e| format!("{dir}: {e}"))?;
@@ -1638,7 +1182,7 @@ fn policy_from_name(name: &str) -> Option<RMatrixPolicy> {
 /// swept at that same scale. Unusable entries (foreign benchmarks,
 /// missing plans, sddmm rows) are skipped with a count, not an error.
 fn model_train(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(argv, &["dataset", "scale", "out", "report"], &[])?;
     let dataset_path = args.get("dataset").ok_or("--dataset is required")?;
     let scale = parse_scale(&args)?;
     let out = args.get("out").unwrap_or("spade.model");
@@ -1738,13 +1282,23 @@ fn merge_bench_section(path: &str, key: &str, section: JsonValue) -> String {
 /// selected-plan cycles / Opt cycles geomean) turn the run into a
 /// regression gate, failing after the summary is written.
 fn bench_advise(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv, &[])?;
+    let args = Args::parse(
+        argv,
+        &[
+            "scale",
+            "k",
+            "pes",
+            "gate-advise-speedup",
+            "gate-advise-quality",
+            "out",
+            "model-out",
+            "report-out",
+        ],
+        &[],
+    )?;
     let scale = parse_scale(&args)?;
     let k = parse_k(&args)?;
-    let pes: usize = args.get_parsed("pes", 56)?;
-    if pes == 0 || !pes.is_multiple_of(4) {
-        return Err("--pes must be a positive multiple of 4".into());
-    }
+    let pes = parse_pes(&args)?;
     let gate_speedup: f64 = args.get_parsed("gate-advise-speedup", 0.0)?;
     let gate_quality: f64 = args.get_parsed("gate-advise-quality", 0.0)?;
     let out = args.get("out").unwrap_or("BENCH_sim.json").to_string();
@@ -1872,7 +1426,7 @@ mod tests {
     }
 
     #[test]
-    fn run_with_format_json_and_telemetry() {
+    fn run_with_format_json() {
         dispatch(&argv(&[
             "run",
             "--benchmark",
@@ -1883,8 +1437,6 @@ mod tests {
             "4",
             "--format",
             "json",
-            "--telemetry",
-            "128",
         ]))
         .unwrap();
     }
@@ -1893,6 +1445,35 @@ mod tests {
     fn bad_format_and_zero_telemetry_are_rejected() {
         assert!(dispatch(&argv(&["run", "--benchmark", "myc", "--format", "xml"])).is_err());
         assert!(dispatch(&argv(&["run", "--benchmark", "myc", "--telemetry", "0"])).is_err());
+    }
+
+    #[test]
+    fn request_doc_maps_flags_to_wire_fields() {
+        let (values, switches) = request_flags("run", true);
+        let args = Args::parse(
+            &argv(&[
+                "--benchmark",
+                "myc",
+                "--cp",
+                "all",
+                "--deadline-cycles",
+                "7",
+                "--addr",
+                "127.0.0.1:1",
+                "--barriers",
+                "--no-cache",
+            ]),
+            &values,
+            &switches,
+        )
+        .unwrap();
+        let doc = JsonValue::Object(request_doc("run", &args).unwrap()).render();
+        assert_eq!(
+            doc,
+            r#"{"cmd":"run","benchmark":"myc","cp":"all","deadline_cycles":7,"barriers":true,"no_cache":true}"#
+        );
+        let args = Args::parse(&argv(&["--k", "x"]), &values, &switches).unwrap();
+        assert!(request_doc("run", &args).unwrap_err().contains("--k"));
     }
 
     #[test]
@@ -1946,7 +1527,8 @@ mod tests {
 
     #[test]
     fn mm_roundtrip_via_tempfile() {
-        let a = Coo::from_triplets(32, 32, &[(0, 1, 1.0), (5, 7, 2.0), (31, 0, 3.0)]).unwrap();
+        let a = spade_matrix::Coo::from_triplets(32, 32, &[(0, 1, 1.0), (5, 7, 2.0), (31, 0, 3.0)])
+            .unwrap();
         let path = std::env::temp_dir().join("spade_cli_test.mtx");
         let mut buf = Vec::new();
         mm::write_matrix_market(&a, &mut buf).unwrap();

@@ -4,16 +4,23 @@
 //! spade-cli info  [--scale tiny|small|default|large]
 //! spade-cli run   --benchmark kro [--kernel spmm|sddmm] [--k 32] [--pes 56]
 //!                 [--rp N] [--cp N|all] [--rmatrix cache|bypass|victim]
-//!                 [--barriers] [--format json|text] [--telemetry 256]
+//!                 [--barriers] [--format json|text]
 //! spade-cli trace kro [--kernel spmm|sddmm] [--k 32] [--pes 56]
 //!                 [--window 256] [--out kro.trace.json]
-//! spade-cli advise --benchmark kro [--k 32] [--pes 56]
+//! spade-cli advise --benchmark kro [--k 32] [--pes 56] [--fast|--exact]
 //! spade-cli search --benchmark kro [--k 32] [--pes 56] [--full]
-//!                 [--format json|text] [--telemetry 256]
+//!                 [--format json|text]
 //! spade-cli mm    --file matrix.mtx [--k 32] [--pes 56] [--format json|text]
+//! spade-cli serve [--addr 127.0.0.1:7700] [--cache-dir DIR]
+//! spade-cli client run|trace|search|advise --addr HOST:PORT [flags as above]
 //! spade-cli bench-perf [--scale tiny|small|default|large] [--k 32] [--pes 56]
 //!                 [--out BENCH_sim.json]
 //! ```
+//!
+//! `run`, `trace`, `search` and `advise` are the daemon without a socket:
+//! each request goes through the daemon's own handler in process, so a
+//! local `--format json` line is the one a cold daemon replies. `spade-cli`
+//! with no arguments prints the full usage.
 
 mod args;
 mod commands;

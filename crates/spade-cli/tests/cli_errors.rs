@@ -39,6 +39,18 @@ fn no_subcommand_fails_cleanly() {
 #[test]
 fn unknown_subcommand_fails_cleanly() {
     assert_clean_failure(&["frobnicate"]);
+    // So does a flag the subcommand does not declare (here two removed
+    // ones): an error, never silently ignored.
+    assert_clean_failure(&["run", "--benchmark", "myc", "--pes", "4", "--shards", "4"]);
+    assert_clean_failure(&[
+        "search",
+        "--benchmark",
+        "myc",
+        "--pes",
+        "4",
+        "--telemetry",
+        "256",
+    ]);
 }
 
 #[test]

@@ -295,10 +295,33 @@ fn cli(args: &[&str]) -> (bool, String) {
     )
 }
 
+/// Asserts two response lines carry the same `key` and byte-identical
+/// `result` documents.
+fn assert_same_key_and_result(served: &str, local: &str) {
+    let key = |line: &str| parse(line.trim()).get("key").cloned();
+    assert!(key(served).is_some(), "no key in {served}");
+    assert_eq!(key(served), key(local));
+    let result = |line: &str| {
+        line.trim()
+            .split_once(",\"result\":")
+            .map(|(_, r)| r.to_string())
+    };
+    assert!(result(served).is_some(), "no result in {served}");
+    assert_eq!(result(served), result(local));
+}
+
+/// An advise reply up to its `latency_us`, the host timing that ends it.
+fn without_latency(line: &str) -> &str {
+    line.trim()
+        .split_once(",\"latency_us\":")
+        .expect("advise reply has latency_us")
+        .0
+}
+
 /// The typed `client` subcommands, end to end against a live daemon:
 /// run (json and text), status, a Prometheus scrape, a dataset query,
-/// and a wire-served trace byte-compared against the locally produced
-/// file.
+/// a wire-served trace byte-compared against the locally produced file,
+/// and local run/search/advise replies compared with the served ones.
 #[test]
 fn client_subcommands_drive_the_daemon_end_to_end() {
     let dir = temp_dir("client");
@@ -329,6 +352,23 @@ fn client_subcommands_drive_the_daemon_end_to_end() {
         .and_then(JsonValue::as_str)
         .expect("run key")
         .to_string();
+    // A local run is the daemon without a socket: its line is the cold
+    // daemon's reply, key and result bytes included.
+    let (ok, local) = cli(&[
+        "run",
+        "--benchmark",
+        "myc",
+        "--k",
+        "16",
+        "--pes",
+        "4",
+        "--scale",
+        "tiny",
+        "--format",
+        "json",
+    ]);
+    assert!(ok, "local run failed: {local}");
+    assert_same_key_and_result(&out, &local);
 
     let (ok, out) = cli(&[
         "client",
@@ -484,6 +524,45 @@ fn client_subcommands_drive_the_daemon_end_to_end() {
         Some(1),
         "every seeded entry ran at 4 PEs"
     );
+
+    // Local search and advise answer as the daemon does: search key and
+    // result bytes match, advise everything but its selection latency.
+    let search = [
+        "search",
+        "--benchmark",
+        "myc",
+        "--k",
+        "16",
+        "--pes",
+        "4",
+        "--scale",
+        "tiny",
+        "--format",
+        "json",
+    ];
+    let (ok, served) = cli(&[&["client"], &search[..1], &["--addr", &addr], &search[1..]].concat());
+    assert!(ok, "client search failed: {served}");
+    let (ok, local) = cli(&search);
+    assert!(ok, "local search failed: {local}");
+    assert_same_key_and_result(&served, &local);
+    let advise = [
+        "advise",
+        "--benchmark",
+        "myc",
+        "--k",
+        "16",
+        "--pes",
+        "4",
+        "--scale",
+        "tiny",
+        "--format",
+        "json",
+    ];
+    let (ok, served) = cli(&[&["client"], &advise[..1], &["--addr", &addr], &advise[1..]].concat());
+    assert!(ok, "client advise failed: {served}");
+    let (ok, local) = cli(&advise);
+    assert!(ok, "local advise failed: {local}");
+    assert_eq!(without_latency(&served), without_latency(&local));
 
     let (ok, out) = cli(&["client", "shutdown", "--addr", &addr]);
     assert!(ok, "client shutdown failed: {out}");

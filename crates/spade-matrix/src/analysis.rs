@@ -279,13 +279,6 @@ impl MatrixFeatures {
         ]
     }
 
-    /// `(name, value)` pairs in [`FEATURE_NAMES`] order — the
-    /// serialization-agnostic form (spade-matrix has no JSON dependency;
-    /// callers map the pairs into whatever codec they use).
-    pub fn to_pairs(&self) -> Vec<(&'static str, f64)> {
-        FEATURE_NAMES.into_iter().zip(self.as_vec()).collect()
-    }
-
     /// Rebuilds a feature vector from values in [`FEATURE_NAMES`] order.
     /// Returns `None` when the length does not match the current layout.
     pub fn from_vec(values: &[f64]) -> Option<Self> {
@@ -456,7 +449,6 @@ mod tests {
         let f = MatrixFeatures::compute(&m);
         let v = f.as_vec();
         assert_eq!(v.len(), FEATURE_NAMES.len());
-        assert_eq!(f.to_pairs().len(), FEATURE_NAMES.len());
         assert_eq!(MatrixFeatures::from_vec(&v), Some(f.clone()));
         assert_eq!(MatrixFeatures::from_vec(&v[..3]), None);
         assert!(v.iter().all(|x| x.is_finite()));

@@ -233,26 +233,6 @@ pub struct TelemetrySeries {
 }
 
 impl TelemetrySeries {
-    /// Largest per-window requests-per-cycle value; zero for an empty
-    /// series.
-    pub fn peak_requests_per_cycle(&self) -> f64 {
-        self.samples
-            .iter()
-            .map(|s| s.requests_per_cycle())
-            .fold(0.0, f64::max)
-    }
-
-    /// Request-weighted mean requests-per-cycle (total requests over total
-    /// covered cycles); zero for an empty series.
-    pub fn mean_requests_per_cycle(&self) -> f64 {
-        let cycles: Cycle = self.samples.iter().map(|s| s.len).sum();
-        if cycles == 0 {
-            return 0.0;
-        }
-        let requests: u64 = self.samples.iter().map(|s| s.requests).sum();
-        requests as f64 / cycles as f64
-    }
-
     /// This series as a JSON object:
     /// `{"window": W, "samples": [...]}`.
     pub fn to_json(&self) -> JsonValue {
@@ -477,16 +457,6 @@ mod tests {
         assert_eq!(series.samples[2].requests, 0);
         assert_eq!(series.samples[3].start, 30);
         assert_eq!(series.samples[3].len, 6);
-    }
-
-    #[test]
-    fn series_summaries() {
-        let mut r = TelemetryRecorder::new(4, 1);
-        r.advance_to(4, probe(8, 0, TelemetryGauges::default()));
-        let series = r.finish(7, probe(10, 0, TelemetryGauges::default()));
-        assert!((series.peak_requests_per_cycle() - 2.0).abs() < 1e-12);
-        assert!((series.mean_requests_per_cycle() - 10.0 / 8.0).abs() < 1e-12);
-        assert_eq!(TelemetrySeries::default().mean_requests_per_cycle(), 0.0);
     }
 
     #[test]

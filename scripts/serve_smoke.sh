@@ -2,8 +2,9 @@
 # End-to-end smoke test for the experiment daemon (`spade-cli serve`):
 # starts a real daemon on an OS-assigned port, drives it with
 # `spade-cli client`, and checks the robustness contract from the
-# outside — cold run, byte-identical cache hit, malformed-frame
-# rejection, a concurrent burst, and a SIGTERM drain that exits 0.
+# outside — cold run (byte-identical to a local run), byte-identical
+# cache hit, malformed-frame rejection, a concurrent burst, and a
+# SIGTERM drain that exits 0.
 #
 # Usage: scripts/serve_smoke.sh [path-to-spade-cli]
 # The cache directory is kept on failure (its path is printed) so CI can
@@ -60,6 +61,11 @@ echo "== cold run (must simulate)"
 REQ='{"cmd":"run","benchmark":"myc","k":16,"pes":4,"scale":"tiny"}'
 COLD=$(client "$REQ")
 case "$COLD" in *'"cached":false'*) ;; *) fail "cold run not fresh: $COLD" ;; esac
+
+echo "== local run (the daemon without a socket: byte-identical to the cold reply)"
+LOCAL=$("$CLI" run --benchmark myc --k 16 --pes 4 --scale tiny --format json) \
+  || fail "local run failed"
+[ "$LOCAL" = "$COLD" ] || fail "local run differs from the cold daemon reply: $LOCAL"
 
 prepares() {
   "$CLI" client metrics --addr "$ADDR" --prom | sed -n 's/^spade_workload_prepare_total //p'
