@@ -2,12 +2,10 @@
 //!
 //! A std-only TCP service speaking newline-delimited JSON (one request
 //! per line, one response per line — the [`spade_sim::json`] codec on
-//! both sides). Clients submit the same experiments the CLI runs
-//! (`run`, `search`), plus `status`, `ping` and an in-band `shutdown`;
-//! results come back as the exact JSON documents the CLI's
-//! `--format json` prints. The local CLI commands are the daemon without
-//! a socket: [`answer`] sends one request line through the same parse →
-//! key → admit → execute → render path in process.
+//! both sides). The local CLI commands are the daemon without a socket:
+//! [`answer`] sends one request line through the same parse → key →
+//! admit → execute → render path in process, so a local `--format json`
+//! line is the reply a cold daemon sends.
 //!
 //! # Architecture
 //!
@@ -19,7 +17,13 @@
 //!                     │      └────────────── ResultCache ◀── put ───┘
 //! ```
 //!
-//! * **Bounded admission.** Requests funnel through a
+//! * **One admit/collect path.** Every job — a `run`, `trace`, `search`
+//!   or `query` request, or one slot of a `batch` — is admitted the same
+//!   way: one cache probe on the connection thread (a hit is answered at
+//!   once), then the job is built and offered to the queue. Collection
+//!   waits for the worker and counts the outcome. A standalone request
+//!   is a batch of one; the two reply shapes differ only in their head.
+//! * **Bounded admission.** Jobs funnel through a
 //!   [`std::sync::mpsc::sync_channel`] of [`ServiceConfig::queue_capacity`]
 //!   slots. When the queue is full the daemon replies immediately with a
 //!   structured `overloaded` error carrying `retry_after_ms` — explicit
@@ -49,44 +53,34 @@
 //!
 //! # Protocol
 //!
-//! Requests are JSON objects with a `cmd` field; an optional `id`
-//! (string or number) is echoed in the response envelope. Success:
-//! `{"ok":true,"cmd":...,"cached":...,"key":...,"result":{...}}`.
+//! Requests are JSON objects with a `cmd` field and an optional `id`
+//! (string or integer), echoed in every reply to a frame that parsed as
+//! JSON.
+//!
+//! * `ping`, `status`, `metrics` (a [`MetricsSnapshot`] of the daemon's
+//!   registry) and `shutdown` are answered on the connection thread, so
+//!   they work while every worker is busy. So is `advise`: plan selection
+//!   for one (benchmark, scale, k, pes) through the three-tier advisor.
+//! * `run` simulates one job; `trace` runs one job with event tracing on
+//!   and returns the Chrome-trace JSON inline, byte-identical to what
+//!   `spade-cli trace` writes; `search` runs every candidate of the quick
+//!   (or full) plan space. All three are cache-served when warm.
+//! * `query` filters the cached entries as a dataset (benchmark, kernel,
+//!   kind, k, pes, cycle bounds), or folds them with `group_by`
+//!   (`benchmark`/`kernel`/`pes`) into per-group cycle statistics and a
+//!   best plan. The catalog is loaded from `index.json` and rebuilt from
+//!   the entries when the index is stale or missing.
+//! * `batch` carries many `run`-shaped jobs: an explicit `jobs` array, or
+//!   a `sweep` cross product over benchmarks × kernels × k × pes × plans.
+//!   Each slot is admitted, fails and is rejected on its own, and its
+//!   payload is byte-identical to the equivalent standalone `run`.
+//!
+//! Success: `{"ok":true,"cmd":...,"cached":...,"key":...,"result":{...}}`.
 //! Failure: `{"ok":false,"error":{"kind":...,"message":...}}` with
-//! `retry_after_ms` on `overloaded`. Error kinds: `bad_request`,
-//! `overloaded`, `shutting_down`, `deadline_exceeded`, `sim_failed`,
-//! `internal`. DESIGN.md documents the full matrix.
-//!
-//! Protocol v2 adds the observability and dataset surface:
-//!
-//! * `metrics` — a [`MetricsSnapshot`] of the daemon's registry
-//!   (requests by kind/outcome, queue/worker gauges, cache counters,
-//!   latency histograms), answered on the connection thread.
-//! * `query` — enumerate/filter the cached entries as a dataset
-//!   (benchmark, kernel, kind, k, pes, cycle bounds). Served from an
-//!   in-memory catalog that is loaded from `index.json` and rebuilt
-//!   from the entries themselves when the index is stale or missing.
-//! * `trace` — run (or cache-serve) one job with event tracing on and
-//!   stream the Chrome-trace JSON back in the result, byte-identical
-//!   to what `spade-cli trace` writes locally.
-//!
-//! Protocol v3 adds sweep fan-out and server-side aggregation:
-//!
-//! * `batch` — one request carrying many `run`-shaped jobs (an explicit
-//!   `jobs` array, or a `sweep` cross-product template over benchmarks ×
-//!   kernels × k × pes × plans). Jobs fan out through the same bounded
-//!   admission queue; each job probes the cache individually, fails
-//!   individually, and — when the queue fills mid-batch — is rejected
-//!   individually with `overloaded` + `retry_after_ms` while the jobs
-//!   that fit keep running. The reply lists per-job payloads in job
-//!   order, each byte-identical to the equivalent standalone `run`.
-//! * `query` grows `group_by` (`benchmark`/`kernel`/`pes`): the daemon
-//!   folds the filtered catalog into per-group min/max/mean cycles and
-//!   a best-plan projection, so "best plan per matrix" is one request.
-//! * `retry_after_ms` is no longer a constant: the hint scales with
-//!   queue occupancy and the observed queue-wait histogram (see
-//!   [`scaled_retry_after_ms`]), so a saturated daemon tells clients to
-//!   back off longer.
+//! `retry_after_ms` on `overloaded`, scaled with queue occupancy and the
+//! observed queue wait ([`scaled_retry_after_ms`]). Error kinds:
+//! `bad_request`, `overloaded`, `shutting_down`, `deadline_exceeded`,
+//! `sim_failed`, `internal`. DESIGN.md §7 documents the full matrix.
 //!
 //! # Observability is pure
 //!
@@ -99,7 +93,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -122,13 +116,10 @@ use crate::parallel::{
 };
 use crate::suite::Workload;
 
-/// Wire-protocol version, reported by `ping` and `status`. Version 2
-/// added the `metrics`, `query` and `trace` requests; version 3 added
-/// `batch` and the `query` `group_by` aggregations; version 4 adds the
-/// `advise` request (plan selection, answered on the connection thread
-/// like `metrics` — it never occupies a simulation worker). Earlier
-/// requests are a strict subset, so v1–v3 clients keep working
-/// unchanged.
+/// Wire-protocol version, reported in the head of every connection-thread
+/// reply (`ping`, `status`, `metrics`, `shutdown`, `advise`) and in the
+/// `serve` banner. The requests and reply fields are those the module
+/// documentation lists.
 pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Default cap on entries a single `query` response returns. Keeps a
@@ -157,11 +148,16 @@ pub const MAX_BATCH_JOBS: usize = 256;
 /// (the entries themselves are already durable).
 const INDEX_FLUSH_EVERY: u64 = 8;
 
+/// The idle floor of the `retry_after_ms` hint carried by `overloaded`
+/// rejections; the daemon scales it up with load
+/// ([`scaled_retry_after_ms`]).
+pub const BASE_RETRY_AFTER_MS: u64 = 100;
+
 /// Ceiling on the load-scaled `retry_after_ms` hint.
 pub const MAX_RETRY_AFTER_MS: u64 = 60_000;
 
-/// The back-pressure hint, scaled from load: `base` (the configured
-/// [`ServiceConfig::retry_after_ms`]) when the queue is empty, growing
+/// The back-pressure hint, scaled from load: `base` (the daemon uses
+/// [`BASE_RETRY_AFTER_MS`]) when the queue is empty, growing
 /// linearly to `5 * base` at full occupancy, plus the mean observed
 /// queue wait — a saturated daemon whose jobs wait seconds tells
 /// clients to come back in seconds, not in the idle-tuned constant.
@@ -200,12 +196,6 @@ pub struct ServiceConfig {
     /// How long a connection read blocks before re-checking for
     /// shutdown; bounds drain latency, not connection lifetime.
     pub read_timeout: Duration,
-    /// Per-frame byte cap (a line longer than this fails the request).
-    pub max_frame_bytes: usize,
-    /// Base `retry_after_ms` hint carried by `overloaded` rejections —
-    /// the wire value scales up with queue occupancy and observed queue
-    /// wait (see [`scaled_retry_after_ms`]); this is the idle floor.
-    pub retry_after_ms: u64,
     /// Result-cache directory; `None` disables persistence.
     pub cache_dir: Option<PathBuf>,
     /// Fault injection: hold each admitted job for this long before
@@ -237,8 +227,6 @@ impl Default for ServiceConfig {
             // a tuning knob.
             default_deadline_cycles: Some(4_000_000_000),
             read_timeout: Duration::from_millis(500),
-            max_frame_bytes: MAX_FRAME_BYTES,
-            retry_after_ms: 100,
             cache_dir: None,
             worker_delay: None,
             log_json: std::env::var("SPADE_LOG").is_ok_and(|v| v == "json"),
@@ -302,13 +290,11 @@ struct Inner {
     model: Option<CostModel>,
     metrics: ServiceMetrics,
     shutdown: AtomicBool,
-    queue_depth: AtomicUsize,
-    in_flight: AtomicUsize,
+    /// Requests answered successfully (cache hits included) and requests
+    /// a worker or the advisor failed. The registry has no series for
+    /// these two; every other service counter lives there.
     served_ok: AtomicU64,
     served_err: AtomicU64,
-    rejected_overload: AtomicU64,
-    bad_frames: AtomicU64,
-    connections: AtomicU64,
     /// Monotonic request-id source: every parsed frame gets the next id,
     /// threading one identity through its log span from admission to
     /// reply.
@@ -357,13 +343,8 @@ impl Inner {
             model,
             metrics: ServiceMetrics::new(),
             shutdown: AtomicBool::new(false),
-            queue_depth: AtomicUsize::new(0),
-            in_flight: AtomicUsize::new(0),
             served_ok: AtomicU64::new(0),
             served_err: AtomicU64::new(0),
-            rejected_overload: AtomicU64::new(0),
-            bad_frames: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
             next_rid: AtomicU64::new(0),
             index_dirty: AtomicU64::new(0),
             stamps: Mutex::new(HashMap::new()),
@@ -375,14 +356,14 @@ impl Inner {
         self.shutdown.load(Ordering::SeqCst) || termination_signal_received()
     }
 
-    /// The current `retry_after_ms` hint: the configured base scaled by
-    /// queue occupancy and the mean observed queue wait.
+    /// The current `retry_after_ms` hint: the base scaled by queue
+    /// occupancy and the mean observed queue wait.
     fn retry_after_hint(&self) -> u64 {
         let wait = &self.metrics.queue_wait_us;
         let mean_wait_us = wait.sum().checked_div(wait.count()).unwrap_or(0);
         scaled_retry_after_ms(
-            self.config.retry_after_ms,
-            self.queue_depth.load(Ordering::Relaxed),
+            BASE_RETRY_AFTER_MS,
+            usize::try_from(self.metrics.queue_depth.get()).unwrap_or(0),
             self.config.queue_capacity,
             mean_wait_us,
         )
@@ -477,7 +458,7 @@ struct WorkItem {
     /// When the item entered the queue — the queue-wait histogram
     /// measures from here to worker pickup.
     enqueued: Instant,
-    reply: SyncSender<Result<String, (String, String)>>,
+    reply: SyncSender<WorkResult>,
 }
 
 /// Jobs carry everything a reply renders: the benchmark (the workload's
@@ -553,7 +534,7 @@ impl Service {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     handlers.retain(|h| !h.is_finished());
-                    inner.connections.fetch_add(1, Ordering::Relaxed);
+                    inner.metrics.connections.inc();
                     if handlers.len() >= inner.config.max_connections {
                         refuse_connection(&inner, stream);
                         continue;
@@ -579,12 +560,13 @@ impl Service {
             let _ = h.join();
         }
         drain(&inner, work_tx, workers);
+        let m = &inner.metrics;
         Ok(ServiceSummary {
             served_ok: inner.served_ok.load(Ordering::Relaxed),
             served_err: inner.served_err.load(Ordering::Relaxed),
-            rejected_overload: inner.rejected_overload.load(Ordering::Relaxed),
-            bad_frames: inner.bad_frames.load(Ordering::Relaxed),
-            connections: inner.connections.load(Ordering::Relaxed),
+            rejected_overload: m.rejected_overload.get(),
+            bad_frames: m.bad_frames.get(),
+            connections: m.connections.get(),
             cache: inner.cache.as_ref().map(ResultCache::stats),
             metrics: metrics_snapshot(&inner),
         })
@@ -643,7 +625,7 @@ fn drain(inner: &Inner, work_tx: SyncSender<WorkItem>, workers: Vec<JoinHandle<(
 /// Over-capacity connections get one structured rejection, then close —
 /// the same back-pressure contract as a full queue.
 fn refuse_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
-    inner.rejected_overload.fetch_add(1, Ordering::Relaxed);
+    inner.metrics.rejected_overload.inc();
     let resp = error_response(
         None,
         None,
@@ -671,7 +653,7 @@ fn handle_connection(inner: &Arc<Inner>, work_tx: &SyncSender<WorkItem>, stream:
         Ok(w) => w,
         Err(_) => return,
     };
-    let mut frames = FrameReader::with_max_frame(stream, inner.config.max_frame_bytes);
+    let mut frames = FrameReader::new(stream);
     loop {
         if inner.shutting_down() {
             let _ = respond(
@@ -693,7 +675,7 @@ fn handle_connection(inner: &Arc<Inner>, work_tx: &SyncSender<WorkItem>, stream:
             Err(FrameError::TooLong { limit }) => {
                 // The rest of the oversized line is unread: framing is
                 // lost, so answer once and drop the connection.
-                inner.bad_frames.fetch_add(1, Ordering::Relaxed);
+                inner.metrics.bad_frames.inc();
                 let _ = respond(
                     &mut writer,
                     &error_response(
@@ -708,7 +690,7 @@ fn handle_connection(inner: &Arc<Inner>, work_tx: &SyncSender<WorkItem>, stream:
             }
             Err(FrameError::Truncated { .. }) => {
                 // Client died mid-line; nobody is listening for a reply.
-                inner.bad_frames.fetch_add(1, Ordering::Relaxed);
+                inner.metrics.bad_frames.inc();
                 return;
             }
             Err(FrameError::Io(e))
@@ -730,17 +712,19 @@ fn process_frame(inner: &Arc<Inner>, work_tx: &SyncSender<WorkItem>, frame: &[u8
     let rid = inner.next_rid.fetch_add(1, Ordering::Relaxed) + 1;
     let received = Instant::now();
     let mut workloads = Workloads::new();
-    let (id, parsed) = match parse_request(inner, frame, &mut workloads) {
+    let (id, parsed) = parse_request(inner, frame, &mut workloads);
+    let id = id.as_ref();
+    let parsed = match parsed {
         Ok(p) => p,
         Err(message) => {
-            inner.bad_frames.fetch_add(1, Ordering::Relaxed);
+            inner.metrics.bad_frames.inc();
             log_event(
                 inner,
                 rid,
                 "bad_frame",
                 &[("message", message.as_str().into())],
             );
-            return error_response(None, None, "bad_request", &message, None);
+            return error_response(id, None, "bad_request", &message, None);
         }
     };
     let cmd_name = match &parsed {
@@ -748,60 +732,50 @@ fn process_frame(inner: &Arc<Inner>, work_tx: &SyncSender<WorkItem>, frame: &[u8
         Request::Status => "status",
         Request::Metrics => "metrics",
         Request::Shutdown => "shutdown",
-        Request::Work { spec, .. } => spec.cmd(),
-        Request::Batch { .. } => "batch",
+        Request::Work(job) => job.spec.cmd(),
+        Request::Batch(_) => "batch",
         Request::Advise { .. } => "advise",
     };
     log_event(inner, rid, "request", &[("cmd", cmd_name.into())]);
     let (response, ok) = match parsed {
-        Request::Ping => (
-            JsonValue::object([
-                ("ok", true.into()),
-                ("cmd", "ping".into()),
-                ("protocol", PROTOCOL_VERSION.into()),
-            ])
-            .render(),
-            true,
-        ),
-        Request::Status => (status_response(inner).render(), true),
+        Request::Ping => (JsonValue::object(reply_head("ping", id)).render(), true),
+        Request::Status => (status_response(inner, id).render(), true),
         Request::Metrics => {
             // Answered on the connection thread, like status: a scrape
             // must work even when every worker is busy.
-            let mut fields = vec![
-                ("ok", JsonValue::from(true)),
-                ("cmd", "metrics".into()),
-                ("protocol", PROTOCOL_VERSION.into()),
-            ];
-            if let Some(id) = &id {
-                fields.push(("id", id.clone()));
-            }
+            let mut fields = reply_head("metrics", id);
             fields.push(("result", metrics_snapshot(inner).to_json()));
             (JsonValue::object(fields).render(), true)
         }
         Request::Shutdown => {
             inner.shutdown.store(true, Ordering::SeqCst);
-            (
-                JsonValue::object([
-                    ("ok", true.into()),
-                    ("cmd", "shutdown".into()),
-                    ("draining", true.into()),
-                ])
-                .render(),
-                true,
-            )
+            let mut fields = reply_head("shutdown", id);
+            fields.push(("draining", true.into()));
+            (JsonValue::object(fields).render(), true)
         }
-        Request::Work { spec, cache_key } => {
-            work_response(inner, work_tx, rid, id.as_ref(), spec, cache_key, workloads)
+        Request::Work(job) => {
+            let admitted = admit(inner, work_tx, rid, cmd_name, None, job, &mut workloads);
+            // The job holds its workload; release the request's handle so
+            // the matrix is freed when the worker finishes, not after the
+            // reply.
+            drop(workloads);
+            let outcome = collect(inner, admitted);
+            let head = Head::Envelope {
+                cmd: Some(cmd_name),
+                id,
+            };
+            (outcome.render(head), outcome.is_success())
         }
-        Request::Batch { jobs } => {
-            batch_response(inner, work_tx, rid, id.as_ref(), jobs, workloads)
-        }
+        Request::Batch(jobs) => (
+            batch_response(inner, work_tx, rid, id, jobs, workloads),
+            true,
+        ),
         Request::Advise {
             benchmark,
             scale,
             k,
             pes,
-        } => advise_response(inner, id.as_ref(), benchmark, scale, k, pes),
+        } => advise_response(inner, id, benchmark, scale, k, pes),
     };
     inner.metrics.count_request(cmd_name, ok);
     log_event(
@@ -817,107 +791,247 @@ fn process_frame(inner: &Arc<Inner>, work_tx: &SyncSender<WorkItem>, frame: &[u8
     response
 }
 
-/// Answers one `run`/`search`/`query`/`trace` request: cache probe on
-/// the connection thread, then — on a miss — the job is built and sent
-/// through the bounded admission queue. Returns the response line and
-/// whether it reports success.
-fn work_response(
+/// The `ok`/`cmd`/`protocol`/`id` fields that open every reply answered
+/// on the connection thread: `ping`, `status`, `metrics`, `shutdown` and
+/// `advise`.
+fn reply_head(cmd: &str, id: Option<&JsonValue>) -> Vec<(&'static str, JsonValue)> {
+    let mut fields = vec![
+        ("ok", true.into()),
+        ("cmd", cmd.into()),
+        ("protocol", PROTOCOL_VERSION.into()),
+    ];
+    fields.extend(id.map(|id| ("id", id.clone())));
+    fields
+}
+
+/// What a worker sends back: the rendered result, or an error kind and
+/// message.
+type WorkResult = Result<String, (&'static str, String)>;
+
+/// What one job request, or one batch slot, came to.
+/// [`Outcome::render`] gives it either reply shape; the bytes after the
+/// head are the same in both.
+enum Outcome {
+    Success {
+        cached: bool,
+        key: Option<String>,
+        /// The result document, spliced into the reply verbatim — so a
+        /// cache hit serves exactly the bytes a fresh run produced.
+        result: String,
+    },
+    Failure {
+        kind: &'static str,
+        message: String,
+        retry_after_ms: Option<u64>,
+    },
+}
+
+/// How a reply opens: a standalone envelope `{"ok":…[,"cmd":…][,"id":…]`
+/// or a batch slot `{"index":…,"ok":…`.
+enum Head<'a> {
+    Envelope {
+        cmd: Option<&'a str>,
+        id: Option<&'a JsonValue>,
+    },
+    Slot(usize),
+}
+
+impl Outcome {
+    fn failure(kind: &'static str, message: impl Into<String>) -> Outcome {
+        Outcome::Failure {
+            kind,
+            message: message.into(),
+            retry_after_ms: None,
+        }
+    }
+
+    fn is_success(&self) -> bool {
+        matches!(self, Outcome::Success { .. })
+    }
+
+    fn render(&self, head: Head<'_>) -> String {
+        let ok = if self.is_success() { "true" } else { "false" };
+        let body = match self {
+            Outcome::Success { result, .. } => result.len(),
+            Outcome::Failure { message, .. } => message.len(),
+        };
+        let mut s = String::with_capacity(body + 160);
+        match head {
+            Head::Envelope { cmd, id } => {
+                s.push_str("{\"ok\":");
+                s.push_str(ok);
+                if let Some(cmd) = cmd {
+                    s.push_str(",\"cmd\":\"");
+                    s.push_str(cmd);
+                    s.push('"');
+                }
+                if let Some(id) = id {
+                    s.push_str(",\"id\":");
+                    id.write_into(&mut s);
+                }
+            }
+            Head::Slot(index) => {
+                s.push_str("{\"index\":");
+                JsonValue::from(index).write_into(&mut s);
+                s.push_str(",\"ok\":");
+                s.push_str(ok);
+            }
+        }
+        match self {
+            Outcome::Success {
+                cached,
+                key,
+                result,
+            } => {
+                s.push_str(if *cached {
+                    ",\"cached\":true"
+                } else {
+                    ",\"cached\":false"
+                });
+                if let Some(key) = key {
+                    s.push_str(",\"key\":\"");
+                    s.push_str(key);
+                    s.push('"');
+                }
+                s.push_str(",\"result\":");
+                s.push_str(result);
+            }
+            Outcome::Failure {
+                kind,
+                message,
+                retry_after_ms,
+            } => {
+                s.push_str(",\"error\":");
+                JsonValue::object([
+                    ("kind", (*kind).into()),
+                    ("message", message.as_str().into()),
+                ])
+                .write_into(&mut s);
+                if let Some(ms) = retry_after_ms {
+                    s.push_str(",\"retry_after_ms\":");
+                    JsonValue::from(*ms).write_into(&mut s);
+                }
+            }
+        }
+        s.push('}');
+        s
+    }
+}
+
+/// A job slot after [`admit`].
+enum Admission {
+    /// Decided on the connection thread: a cache hit, a rejection, or a
+    /// malformed spec.
+    Done(Outcome),
+    /// Queued; the worker's reply arrives on `rx`.
+    Queued {
+        rx: Receiver<WorkResult>,
+        cache_key: Option<String>,
+    },
+}
+
+/// Admits one job — a standalone request, or one batch slot at `index`
+/// (logged with its events): the cache probe on the connection thread (a
+/// hit ends the slot here, without a queue slot or a matrix), then — on a
+/// miss — the job is built and offered to the bounded admission queue.
+fn admit(
     inner: &Arc<Inner>,
     work_tx: &SyncSender<WorkItem>,
     rid: u64,
-    id: Option<&JsonValue>,
-    spec: WorkSpec,
-    cache_key: Option<String>,
-    mut workloads: Workloads,
-) -> (String, bool) {
-    let cmd = spec.cmd();
-    // Cache probe happens on the connection thread: a hit never
-    // takes a queue slot, never touches the matrix, and replies in
-    // microseconds.
-    if let (Some(cache), Some(key)) = (inner.cache.as_ref(), cache_key.as_deref()) {
-        if let Some(payload) = cache.get(key) {
-            if let Ok(result) = String::from_utf8(payload) {
-                inner.served_ok.fetch_add(1, Ordering::Relaxed);
-                log_event(inner, rid, "cache_hit", &[("key", key.into())]);
-                return (ok_envelope(cmd, id, true, Some(key), &result), true);
-            }
-        }
+    cmd: &'static str,
+    index: Option<usize>,
+    job: KeyedSpec,
+    workloads: &mut Workloads,
+) -> Admission {
+    let event = |event: &str, field: (&'static str, JsonValue)| match index {
+        Some(i) => log_event(inner, rid, event, &[("index", i.into()), field]),
+        None => log_event(inner, rid, event, &[field]),
+    };
+    let KeyedSpec { spec, cache_key } = job;
+    let hit = inner
+        .cache
+        .as_ref()
+        .zip(cache_key.as_deref())
+        .and_then(|(cache, key)| cache.get(key))
+        .and_then(|payload| String::from_utf8(payload).ok());
+    if let Some(result) = hit {
+        inner.served_ok.fetch_add(1, Ordering::Relaxed);
+        let key = cache_key.expect("only keyed jobs probe the cache");
+        event("cache_hit", ("key", key.as_str().into()));
+        return Admission::Done(Outcome::Success {
+            cached: true,
+            key: Some(key),
+            result,
+        });
     }
-    let kind = spec.into_work(inner, &mut workloads, cache_key.as_deref());
-    // The job holds its workload; release the request's handle so the
-    // matrix is freed when the worker finishes, not after the reply.
-    drop(workloads);
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
+    let (reply, rx) = mpsc::sync_channel(1);
     let item = WorkItem {
         rid,
         cmd,
-        kind,
+        kind: spec.into_work(inner, workloads, cache_key.as_deref()),
         store_key: cache_key.clone(),
         enqueued: Instant::now(),
-        reply: reply_tx,
+        reply,
     };
     // The queue slot is counted *before* try_send: the worker may pull
     // the item (and decrement) the instant the send lands, so counting
-    // afterwards could transiently wrap the depth below zero.
-    let depth = inner.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
+    // afterwards could transiently take the depth below zero.
+    let depth = inner.metrics.queue_depth.add(1);
     match work_tx.try_send(item) {
-        Err(TrySendError::Full(_)) => {
-            inner.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            inner.rejected_overload.fetch_add(1, Ordering::Relaxed);
-            (
-                error_response(
-                    id,
-                    Some(cmd),
-                    "overloaded",
-                    &format!(
-                        "admission queue is full ({} slots)",
-                        inner.config.queue_capacity
-                    ),
-                    Some(inner.retry_after_hint()),
-                ),
-                false,
-            )
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            inner.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            (
-                error_response(id, Some(cmd), "shutting_down", "daemon is draining", None),
-                false,
-            )
-        }
         Ok(()) => {
-            log_event(inner, rid, "enqueue", &[("depth", depth.into())]);
-            match reply_rx.recv() {
-                Ok(Ok(result)) => {
-                    inner.served_ok.fetch_add(1, Ordering::Relaxed);
-                    (
-                        ok_envelope(cmd, id, false, cache_key.as_deref(), &result),
-                        true,
-                    )
-                }
-                Ok(Err((kind, message))) => {
-                    inner.served_err.fetch_add(1, Ordering::Relaxed);
-                    if kind == "deadline_exceeded" {
-                        inner.metrics.deadline_kills.inc();
-                    }
-                    (error_response(id, Some(cmd), &kind, &message, None), false)
-                }
-                Err(_) => {
-                    inner.served_err.fetch_add(1, Ordering::Relaxed);
-                    (
-                        error_response(
-                            id,
-                            Some(cmd),
-                            "internal",
-                            "worker dropped the request",
-                            None,
+            event("enqueue", ("depth", depth.into()));
+            Admission::Queued { rx, cache_key }
+        }
+        Err(rejected) => {
+            inner.metrics.queue_depth.add(-1);
+            Admission::Done(match rejected {
+                TrySendError::Full(_) => {
+                    inner.metrics.rejected_overload.inc();
+                    Outcome::Failure {
+                        kind: "overloaded",
+                        message: format!(
+                            "admission queue is full ({} slots)",
+                            inner.config.queue_capacity
                         ),
-                        false,
-                    )
+                        retry_after_ms: Some(inner.retry_after_hint()),
+                    }
                 }
-            }
+                TrySendError::Disconnected(_) => {
+                    Outcome::failure("shutting_down", "daemon is draining")
+                }
+            })
         }
     }
+}
+
+/// Turns an admitted slot into its outcome, waiting for the worker when
+/// it was queued, and counts what the worker reported: successes in
+/// `served_ok`, failures in `served_err` (deadline kills in their own
+/// counter too). Outcomes decided at admission were counted there.
+fn collect(inner: &Inner, admission: Admission) -> Outcome {
+    let (rx, cache_key) = match admission {
+        Admission::Done(outcome) => return outcome,
+        Admission::Queued { rx, cache_key } => (rx, cache_key),
+    };
+    let outcome = match rx.recv() {
+        Ok(Ok(result)) => Outcome::Success {
+            cached: false,
+            key: cache_key,
+            result,
+        },
+        Ok(Err((kind, message))) => Outcome::failure(kind, message),
+        Err(_) => Outcome::failure("internal", "worker dropped the job"),
+    };
+    match &outcome {
+        Outcome::Success { .. } => inner.served_ok.fetch_add(1, Ordering::Relaxed),
+        Outcome::Failure { kind, .. } => {
+            if *kind == "deadline_exceeded" {
+                inner.metrics.deadline_kills.inc();
+            }
+            inner.served_err.fetch_add(1, Ordering::Relaxed)
+        }
+    };
+    outcome
 }
 
 /// Answers one `advise` request on the connection thread: generate the
@@ -949,14 +1063,7 @@ fn advise_response(
                 .metrics
                 .count_advise(advice.source.as_str(), latency_us);
             inner.served_ok.fetch_add(1, Ordering::Relaxed);
-            let mut fields = vec![
-                ("ok", JsonValue::from(true)),
-                ("cmd", "advise".into()),
-                ("protocol", PROTOCOL_VERSION.into()),
-            ];
-            if let Some(id) = id {
-                fields.push(("id", id.clone()));
-            }
+            let mut fields = reply_head("advise", id);
             fields.push((
                 "result",
                 JsonValue::object([
@@ -987,201 +1094,69 @@ fn advise_response(
     }
 }
 
-/// One rendered per-job object inside a batch reply: success, with the
-/// result bytes spliced verbatim like [`ok_envelope`] — a batch job's
-/// payload is byte-identical to the standalone request's.
-fn batch_job_ok(index: usize, cached: bool, key: Option<&str>, result: &str) -> String {
-    let mut s = String::with_capacity(result.len() + 96);
-    s.push_str("{\"index\":");
-    s.push_str(&index.to_string());
-    s.push_str(",\"ok\":true,\"cached\":");
-    s.push_str(if cached { "true" } else { "false" });
-    if let Some(key) = key {
-        s.push_str(",\"key\":\"");
-        s.push_str(key);
-        s.push('"');
-    }
-    s.push_str(",\"result\":");
-    s.push_str(result);
-    s.push('}');
-    s
-}
-
-/// One rendered per-job failure inside a batch reply, mirroring the
-/// standalone error envelope's `error` object.
-fn batch_job_error(index: usize, kind: &str, message: &str, retry_after_ms: Option<u64>) -> String {
-    let mut fields = vec![
-        ("index", JsonValue::from(index)),
-        ("ok", false.into()),
-        (
-            "error",
-            JsonValue::object([("kind", kind.into()), ("message", message.into())]),
-        ),
-    ];
-    if let Some(ms) = retry_after_ms {
-        fields.push(("retry_after_ms", ms.into()));
-    }
-    JsonValue::object(fields).render()
-}
-
-/// A batch slot between admission and collection.
-enum BatchSlot {
-    /// Answered on the connection thread (cache hit, rejection, or a
-    /// malformed job spec).
-    Done {
-        rendered: String,
-        outcome: &'static str,
-    },
-    /// Admitted; the worker's reply arrives on `rx`.
-    Pending {
-        rx: Receiver<Result<String, (String, String)>>,
-        cache_key: Option<String>,
-    },
-}
-
-/// Answers one `batch` request: every job probes the cache on the
-/// connection thread, misses are built (preparing each matrix at most
-/// once per batch) and enqueued one by one through the same
-/// bounded admission queue as standalone requests, and replies are
-/// collected in job order. Admission is per job — when the queue fills
-/// mid-batch the jobs that fit keep running and the rest are rejected
-/// with `overloaded` + the load-scaled retry hint; a failing job
-/// (deadline, simulation error, malformed spec) fails only its slot.
-/// The batch envelope itself is `ok:true` whenever the request parsed;
-/// per-job outcomes and the summary counts tell the rest.
+/// Answers one `batch` request the way a standalone job is answered, slot
+/// by slot: every slot is admitted in order (each matrix prepared at most
+/// once per batch), then collected in order, tallied and wrapped. When
+/// the queue fills mid-batch the jobs that fit keep running and the rest
+/// are rejected with `overloaded`; a failing job fails only its slot, and
+/// a malformed spec ends as `bad_request`, counted in neither `served_ok`
+/// nor `served_err`. The envelope is `ok:true` whenever the request
+/// parsed; per-job outcomes and the summary counts tell the rest.
 fn batch_response(
     inner: &Arc<Inner>,
     work_tx: &SyncSender<WorkItem>,
     rid: u64,
     id: Option<&JsonValue>,
-    jobs: Vec<Result<(RunSpec, Option<String>), String>>,
+    jobs: Vec<Result<KeyedSpec, String>>,
     mut workloads: Workloads,
-) -> (String, bool) {
+) -> String {
     let total = jobs.len();
     log_event(inner, rid, "batch", &[("jobs", total.into())]);
-    let mut slots = Vec::with_capacity(total);
-    for (index, spec) in jobs.into_iter().enumerate() {
-        let (spec, cache_key) = match spec {
-            Ok(keyed) => keyed,
-            Err(message) => {
-                slots.push(BatchSlot::Done {
-                    rendered: batch_job_error(index, "bad_request", &message, None),
-                    outcome: "error",
-                });
-                continue;
-            }
-        };
-        if let (Some(cache), Some(key)) = (inner.cache.as_ref(), cache_key.as_deref()) {
-            if let Some(payload) = cache.get(key) {
-                if let Ok(result) = String::from_utf8(payload) {
-                    inner.served_ok.fetch_add(1, Ordering::Relaxed);
-                    log_event(
-                        inner,
-                        rid,
-                        "batch_cache_hit",
-                        &[("index", index.into()), ("key", key.into())],
-                    );
-                    slots.push(BatchSlot::Done {
-                        rendered: batch_job_ok(index, true, Some(key), &result),
-                        outcome: "cached",
-                    });
-                    continue;
-                }
-            }
-        }
-        let kind = WorkSpec::Run(spec).into_work(inner, &mut workloads, cache_key.as_deref());
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        let item = WorkItem {
-            rid,
-            cmd: "batch",
-            kind,
-            store_key: cache_key.clone(),
-            enqueued: Instant::now(),
-            reply: reply_tx,
-        };
-        // Same ordering rule as `work_response`: count the slot before
-        // try_send so a racing worker can't underflow the depth.
-        let depth = inner.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        match work_tx.try_send(item) {
-            Err(TrySendError::Full(_)) => {
-                inner.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                inner.rejected_overload.fetch_add(1, Ordering::Relaxed);
-                slots.push(BatchSlot::Done {
-                    rendered: batch_job_error(
-                        index,
-                        "overloaded",
-                        &format!(
-                            "admission queue is full ({} slots)",
-                            inner.config.queue_capacity
-                        ),
-                        Some(inner.retry_after_hint()),
-                    ),
-                    outcome: "rejected",
-                });
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                inner.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                slots.push(BatchSlot::Done {
-                    rendered: batch_job_error(index, "shutting_down", "daemon is draining", None),
-                    outcome: "error",
-                });
-            }
-            Ok(()) => {
-                log_event(
-                    inner,
-                    rid,
-                    "batch_enqueue",
-                    &[("index", index.into()), ("depth", depth.into())],
-                );
-                slots.push(BatchSlot::Pending {
-                    rx: reply_rx,
-                    cache_key,
-                });
-            }
-        }
-    }
-    // As in `work_response`: each admitted job holds its own workload.
+    let admitted: Vec<Admission> = jobs
+        .into_iter()
+        .enumerate()
+        .map(|(index, slot)| match slot {
+            Ok(job) => admit(
+                inner,
+                work_tx,
+                rid,
+                "batch",
+                Some(index),
+                job,
+                &mut workloads,
+            ),
+            Err(message) => Admission::Done(Outcome::failure("bad_request", message)),
+        })
+        .collect();
+    // As for a standalone job: each admitted job holds its own workload.
     drop(workloads);
-    let (mut succeeded, mut cached, mut failed, mut rejected) = (0u64, 0u64, 0u64, 0u64);
+    let (mut succeeded, mut hits, mut failed, mut rejected) = (0u64, 0u64, 0u64, 0u64);
     let mut rendered_jobs = Vec::with_capacity(total);
-    for (index, slot) in slots.into_iter().enumerate() {
-        let (rendered, outcome) = match slot {
-            BatchSlot::Done { rendered, outcome } => (rendered, outcome),
-            BatchSlot::Pending { rx, cache_key } => match rx.recv() {
-                Ok(Ok(result)) => {
-                    inner.served_ok.fetch_add(1, Ordering::Relaxed);
-                    (
-                        batch_job_ok(index, false, cache_key.as_deref(), &result),
-                        "ok",
-                    )
-                }
-                Ok(Err((kind, message))) => {
-                    inner.served_err.fetch_add(1, Ordering::Relaxed);
-                    if kind == "deadline_exceeded" {
-                        inner.metrics.deadline_kills.inc();
-                    }
-                    (batch_job_error(index, &kind, &message, None), "error")
-                }
-                Err(_) => {
-                    inner.served_err.fetch_add(1, Ordering::Relaxed);
-                    (
-                        batch_job_error(index, "internal", "worker dropped the job", None),
-                        "error",
-                    )
-                }
-            },
-        };
-        inner.metrics.count_batch_job(outcome);
-        match outcome {
-            "ok" => succeeded += 1,
-            "cached" => {
+    for (index, admission) in admitted.into_iter().enumerate() {
+        let outcome = collect(inner, admission);
+        let class = match &outcome {
+            Outcome::Success { cached: true, .. } => {
                 succeeded += 1;
-                cached += 1;
+                hits += 1;
+                "cached"
             }
-            "rejected" => rejected += 1,
-            _ => failed += 1,
-        }
-        rendered_jobs.push(rendered);
+            Outcome::Success { .. } => {
+                succeeded += 1;
+                "ok"
+            }
+            Outcome::Failure {
+                kind: "overloaded", ..
+            } => {
+                rejected += 1;
+                "rejected"
+            }
+            Outcome::Failure { .. } => {
+                failed += 1;
+                "error"
+            }
+        };
+        inner.metrics.count_batch_job(class);
+        rendered_jobs.push(outcome.render(Head::Slot(index)));
     }
     let mut s = String::with_capacity(rendered_jobs.iter().map(String::len).sum::<usize>() + 192);
     s.push_str("{\"ok\":true,\"cmd\":\"batch\"");
@@ -1190,12 +1165,12 @@ fn batch_response(
         s.push_str(&id.render());
     }
     s.push_str(&format!(
-        ",\"result\":{{\"total\":{total},\"succeeded\":{succeeded},\"cached\":{cached},\
+        ",\"result\":{{\"total\":{total},\"succeeded\":{succeeded},\"cached\":{hits},\
          \"failed\":{failed},\"rejected\":{rejected},\"jobs\":["
     ));
     s.push_str(&rendered_jobs.join(","));
     s.push_str("]}}");
-    (s, true)
+    s
 }
 
 fn respond(writer: &mut TcpStream, line: &str) -> bool {
@@ -1206,39 +1181,26 @@ fn respond(writer: &mut TcpStream, line: &str) -> bool {
         .is_ok()
 }
 
-fn status_response(inner: &Arc<Inner>) -> JsonValue {
-    JsonValue::object([
-        ("ok", true.into()),
-        ("cmd", "status".into()),
-        ("protocol", PROTOCOL_VERSION.into()),
+fn status_response(inner: &Arc<Inner>, id: Option<&JsonValue>) -> JsonValue {
+    let m = &inner.metrics;
+    let mut fields = reply_head("status", id);
+    fields.extend([
         (
             "uptime_ms",
             (inner.started.elapsed().as_millis() as u64).into(),
         ),
-        (
-            "queue_depth",
-            inner.queue_depth.load(Ordering::Relaxed).into(),
-        ),
+        ("queue_depth", m.queue_depth.get().into()),
         ("queue_capacity", inner.config.queue_capacity.into()),
-        ("in_flight", inner.in_flight.load(Ordering::Relaxed).into()),
+        ("in_flight", m.in_flight.get().into()),
         ("workers", inner.config.workers.into()),
         ("served_ok", inner.served_ok.load(Ordering::Relaxed).into()),
         (
             "served_err",
             inner.served_err.load(Ordering::Relaxed).into(),
         ),
-        (
-            "rejected_overload",
-            inner.rejected_overload.load(Ordering::Relaxed).into(),
-        ),
-        (
-            "bad_frames",
-            inner.bad_frames.load(Ordering::Relaxed).into(),
-        ),
-        (
-            "connections",
-            inner.connections.load(Ordering::Relaxed).into(),
-        ),
+        ("rejected_overload", m.rejected_overload.get().into()),
+        ("bad_frames", m.bad_frames.get().into()),
+        ("connections", m.connections.get().into()),
         (
             "cache",
             match &inner.cache {
@@ -1253,62 +1215,25 @@ fn status_response(inner: &Arc<Inner>) -> JsonValue {
             },
         ),
         ("shutting_down", inner.shutting_down().into()),
-    ])
+    ]);
+    JsonValue::object(fields)
 }
 
-/// `{"ok":true,...,"result":<result>}` with the cached/fresh result
-/// bytes embedded verbatim — the envelope is built by splicing, so a
-/// cache hit serves exactly the bytes a fresh run produced.
-fn ok_envelope(
-    cmd: &str,
-    id: Option<&JsonValue>,
-    cached: bool,
-    key: Option<&str>,
-    result: &str,
-) -> String {
-    let mut s = String::with_capacity(result.len() + 96);
-    s.push_str("{\"ok\":true,\"cmd\":\"");
-    s.push_str(cmd);
-    s.push('"');
-    if let Some(id) = id {
-        s.push_str(",\"id\":");
-        s.push_str(&id.render());
-    }
-    s.push_str(",\"cached\":");
-    s.push_str(if cached { "true" } else { "false" });
-    if let Some(key) = key {
-        s.push_str(",\"key\":\"");
-        s.push_str(key);
-        s.push('"');
-    }
-    s.push_str(",\"result\":");
-    s.push_str(result);
-    s.push('}');
-    s
-}
-
+/// A standalone failure reply; `cmd` is `None` when the frame never
+/// named a valid one.
 fn error_response(
     id: Option<&JsonValue>,
     cmd: Option<&str>,
-    kind: &str,
+    kind: &'static str,
     message: &str,
     retry_after_ms: Option<u64>,
 ) -> String {
-    let mut fields = vec![("ok", JsonValue::from(false))];
-    if let Some(cmd) = cmd {
-        fields.push(("cmd", cmd.into()));
+    Outcome::Failure {
+        kind,
+        message: message.to_string(),
+        retry_after_ms,
     }
-    if let Some(id) = id {
-        fields.push(("id", id.clone()));
-    }
-    fields.push((
-        "error",
-        JsonValue::object([("kind", kind.into()), ("message", message.into())]),
-    ));
-    if let Some(ms) = retry_after_ms {
-        fields.push(("retry_after_ms", ms.into()));
-    }
-    JsonValue::object(fields).render()
+    .render(Head::Envelope { cmd, id })
 }
 
 // ---------------------------------------------------------------------------
@@ -1320,19 +1245,13 @@ enum Request {
     Status,
     Metrics,
     Shutdown,
-    /// A `run`/`search`/`trace`/`query` request with its cache key
-    /// (`None`: don't probe or persist).
-    Work {
-        spec: WorkSpec,
-        cache_key: Option<String>,
-    },
+    /// A `run`/`search`/`trace`/`query` request.
+    Work(KeyedSpec),
     /// A sweep: many `run`-shaped jobs answered in one reply. Each slot
-    /// is either a parsed job with its cache key or the `bad_request`
-    /// message that job spec earned — a malformed job fails only its own
-    /// slot, in keeping with the per-job containment contract.
-    Batch {
-        jobs: Vec<Result<(RunSpec, Option<String>), String>>,
-    },
+    /// is either a parsed job or the `bad_request` message that job spec
+    /// earned — a malformed job fails only its own slot, in keeping with
+    /// the per-job containment contract.
+    Batch(Vec<Result<KeyedSpec, String>>),
     /// Millisecond plan selection for one (benchmark, scale, k, pes):
     /// the three-tier advisor, answered on the connection thread — never
     /// a simulation worker, so advice stays available under full load.
@@ -1344,17 +1263,36 @@ enum Request {
     },
 }
 
-/// Parses one frame into a request, applying the same validation the CLI
-/// flags get — every reject happens before any simulation work starts.
-/// Cache keys come from the daemon's stamp table; a workload prepared to
-/// fill a stamp lands in `workloads` for the request's own job.
+/// Parses one frame into its `id` (when the frame is JSON carrying one)
+/// and its request, applying the same validation the CLI flags get —
+/// every reject happens before any simulation work starts. Cache keys
+/// come from the daemon's stamp table; a workload prepared to fill a
+/// stamp lands in `workloads` for the request's own job.
 fn parse_request(
     inner: &Inner,
     frame: &[u8],
     workloads: &mut Workloads,
-) -> Result<(Option<JsonValue>, Request), String> {
-    let text = std::str::from_utf8(frame).map_err(|_| "frame is not UTF-8".to_string())?;
-    let doc = JsonValue::parse(text).map_err(|e| format!("frame is not valid JSON: {e}"))?;
+) -> (Option<JsonValue>, Result<Request, String>) {
+    let doc = match std::str::from_utf8(frame) {
+        Err(_) => return (None, Err("frame is not UTF-8".into())),
+        Ok(text) => match JsonValue::parse(text) {
+            Err(e) => return (None, Err(format!("frame is not valid JSON: {e}"))),
+            Ok(doc) => doc,
+        },
+    };
+    let id = doc.get("id").and_then(|v| match v {
+        JsonValue::Str(_) | JsonValue::UInt(_) | JsonValue::Int(_) => Some(v.clone()),
+        _ => None,
+    });
+    (id, parse_command(inner, &doc, workloads))
+}
+
+/// The request a JSON frame names in its `cmd`.
+fn parse_command(
+    inner: &Inner,
+    doc: &JsonValue,
+    workloads: &mut Workloads,
+) -> Result<Request, String> {
     if doc.get("cmd").is_none() {
         return Err("request must be an object with a \"cmd\" field".into());
     }
@@ -1362,35 +1300,24 @@ fn parse_request(
         .get("cmd")
         .and_then(JsonValue::as_str)
         .ok_or("\"cmd\" must be a string")?;
-    let id = doc.get("id").and_then(|v| match v {
-        JsonValue::Str(_) | JsonValue::UInt(_) | JsonValue::Int(_) => Some(v.clone()),
-        _ => None,
-    });
-    let req = match cmd {
+    Ok(match cmd {
         "ping" => Request::Ping,
         "status" => Request::Status,
         "metrics" => Request::Metrics,
         "shutdown" => Request::Shutdown,
-        "run" => {
-            let (run, cache_key) = parse_run_spec(inner, &doc, workloads)?;
-            Request::Work {
-                spec: WorkSpec::Run(run),
-                cache_key,
-            }
-        }
-        "search" => parse_search(inner, &doc, workloads)?,
-        "query" => parse_query(&doc)?,
-        "trace" => parse_trace(inner, &doc, workloads)?,
-        "batch" => parse_batch(inner, &doc, workloads)?,
+        "run" => Request::Work(parse_run(inner, doc, workloads)?),
+        "search" => parse_search(inner, doc, workloads)?,
+        "query" => parse_query(doc)?,
+        "trace" => parse_trace(inner, doc, workloads)?,
+        "batch" => parse_batch(inner, doc, workloads)?,
         "advise" => Request::Advise {
-            benchmark: parse_wire_benchmark(&doc)?,
-            scale: parse_wire_scale(&doc)?,
-            k: parse_wire_k(&doc)?,
-            pes: parse_wire_pes(&doc)?,
+            benchmark: parse_wire_benchmark(doc)?,
+            scale: parse_wire_scale(doc)?,
+            k: parse_wire_k(doc)?,
+            pes: parse_wire_pes(doc)?,
         },
         other => return Err(format!("unknown cmd {other:?}")),
-    };
-    Ok((id, req))
+    })
 }
 
 fn field_str<'a>(doc: &'a JsonValue, key: &str, default: &'a str) -> Result<&'a str, String> {
@@ -1512,6 +1439,13 @@ fn parse_wire_plan(doc: &JsonValue, num_cols: usize) -> Result<ExecutionPlan, St
     };
     ExecutionPlan::with_knobs(rp, cp, r_policy, CMatrixPolicy::Cache, barriers)
         .map_err(|e| e.to_string())
+}
+
+/// A parsed job — a `run`/`search`/`trace`/`query` request or one
+/// `batch` slot — with its cache key (`None`: don't probe or persist).
+struct KeyedSpec {
+    spec: WorkSpec,
+    cache_key: Option<String>,
 }
 
 /// A parsed `run`/`search`/`trace`/`query` request. Parsing keys it from
@@ -1660,6 +1594,19 @@ fn parse_run_spec(
     Ok((spec, cache_key))
 }
 
+/// A `run` request, or one `batch` slot.
+fn parse_run(
+    inner: &Inner,
+    doc: &JsonValue,
+    workloads: &mut Workloads,
+) -> Result<KeyedSpec, String> {
+    let (run, cache_key) = parse_run_spec(inner, doc, workloads)?;
+    Ok(KeyedSpec {
+        spec: WorkSpec::Run(run),
+        cache_key,
+    })
+}
+
 /// Fields a batch request may set once for every job (anything but the
 /// envelope and the job list itself): per-job fields win, batch-level
 /// fields fill the gaps.
@@ -1770,11 +1717,9 @@ fn parse_batch(
     }
     let jobs = job_docs
         .iter()
-        .map(|job| {
-            merged_job_doc(job, doc).and_then(|merged| parse_run_spec(inner, &merged, workloads))
-        })
+        .map(|job| merged_job_doc(job, doc).and_then(|merged| parse_run(inner, &merged, workloads)))
         .collect();
-    Ok(Request::Batch { jobs })
+    Ok(Request::Batch(jobs))
 }
 
 fn parse_search(
@@ -1809,7 +1754,7 @@ fn parse_search(
             .collect();
         search_cache_key(&run_keys)
     });
-    Ok(Request::Work {
+    Ok(Request::Work(KeyedSpec {
         spec: WorkSpec::Search(SearchSpec {
             workload,
             pes,
@@ -1817,7 +1762,7 @@ fn parse_search(
             deadline,
         }),
         cache_key,
-    })
+    }))
 }
 
 /// A search result is a pure function of its candidate set, so its key
@@ -1845,10 +1790,10 @@ fn parse_trace(
 ) -> Result<Request, String> {
     let (run, run_key) = parse_run_spec(inner, doc, workloads)?;
     let window = field_u64(doc, "window")?.unwrap_or(256);
-    Ok(Request::Work {
+    Ok(Request::Work(KeyedSpec {
         cache_key: run_key.map(|key| trace_cache_key(&key, (window > 0).then_some(window))),
         spec: WorkSpec::Trace { run, window },
-    })
+    }))
 }
 
 /// The catalog dimension a `query` aggregation groups on.
@@ -1946,7 +1891,7 @@ fn parse_query(doc: &JsonValue) -> Result<Request, String> {
             return Err(format!("unknown group_by {other:?} (benchmark|kernel|pes)"));
         }
     };
-    Ok(Request::Work {
+    Ok(Request::Work(KeyedSpec {
         cache_key: None,
         spec: WorkSpec::Query {
             filter: QueryFilter {
@@ -1961,7 +1906,7 @@ fn parse_query(doc: &JsonValue) -> Result<Request, String> {
                 group_by,
             },
         },
-    })
+    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -1978,8 +1923,8 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Arc<Mutex<Receiver<WorkItem>>>) {
             guard.recv()
         };
         let Ok(item) = item else { return };
-        inner.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        inner.in_flight.fetch_add(1, Ordering::Relaxed);
+        inner.metrics.queue_depth.add(-1);
+        inner.metrics.in_flight.add(1);
         let queue_wait_us = item.enqueued.elapsed().as_micros() as u64;
         inner.metrics.queue_wait_us.observe(queue_wait_us);
         log_event(
@@ -2022,7 +1967,7 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Arc<Mutex<Receiver<WorkItem>>>) {
         // The handler may have given up (connection died); a dead
         // receiver just drops the result.
         let _ = item.reply.send(outcome);
-        inner.in_flight.fetch_sub(1, Ordering::Relaxed);
+        inner.metrics.in_flight.add(-1);
     }
 }
 
@@ -2043,7 +1988,7 @@ fn maybe_flush_index(inner: &Arc<Inner>) {
     if dirty == 0 {
         return;
     }
-    if dirty < INDEX_FLUSH_EVERY && inner.queue_depth.load(Ordering::Relaxed) > 0 {
+    if dirty < INDEX_FLUSH_EVERY && inner.metrics.queue_depth.get() > 0 {
         return; // debounce: more work is queued, batch the stores up
     }
     if inner.index_dirty.swap(0, Ordering::Relaxed) == 0 {
@@ -2067,7 +2012,7 @@ fn error_kind(message: &str) -> &'static str {
     }
 }
 
-fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> Result<String, (String, String)> {
+fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> WorkResult {
     match kind {
         WorkKind::Run(job) => {
             // A single-worker runner still wraps the job in the panic
@@ -2079,7 +2024,7 @@ fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> Result<String, (String, 
                     inner.metrics.sim_cycles.observe(output.report.cycles);
                     Ok(run_result_json(job, &output).render())
                 }
-                Err(e) => Err((error_kind(&e.message).to_string(), e.to_string())),
+                Err(e) => Err((error_kind(&e.message), e.to_string())),
             }
         }
         WorkKind::Trace { job, window } => {
@@ -2088,9 +2033,9 @@ fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> Result<String, (String, 
                 Ok(output) => {
                     inner.metrics.sim_cycles.observe(output.report.cycles);
                     let (chrome, events) = trace_document(&output, job.config.num_pes)
-                        .map_err(|e| ("sim_failed".to_string(), e))?;
-                    // Rendered like `ok_envelope`: head object rendered,
-                    // then the Chrome JSON spliced in verbatim so the
+                        .map_err(|e| ("sim_failed", e))?;
+                    // Head object rendered, then the Chrome JSON spliced
+                    // in verbatim (like every reply's result) so the
                     // wire bytes equal the local `spade-cli trace` file.
                     let head = JsonValue::object([
                         ("benchmark", job.workload.name.as_str().into()),
@@ -2109,13 +2054,13 @@ fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> Result<String, (String, 
                     s.push('}');
                     Ok(s)
                 }
-                Err(e) => Err((error_kind(&e.message).to_string(), e.to_string())),
+                Err(e) => Err((error_kind(&e.message), e.to_string())),
             }
         }
         WorkKind::Query { filter } => match &inner.dataset {
             Some(dataset) => Ok(dataset.query(filter).render()),
             None => Err((
-                "bad_request".to_string(),
+                "bad_request",
                 "daemon has no cache configured; nothing to query".to_string(),
             )),
         },
@@ -2123,10 +2068,8 @@ fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> Result<String, (String, 
             // Fan the candidates out over the workers nobody else is
             // using (this one included): a lone search gets the whole
             // pool, a busy daemon one thread per search.
-            let idle = inner
-                .config
-                .workers
-                .saturating_sub(inner.in_flight.load(Ordering::Relaxed));
+            let busy = usize::try_from(inner.metrics.in_flight.get()).unwrap_or(0);
+            let idle = inner.config.workers.saturating_sub(busy);
             let outcomes = ParallelRunner::new(idle + 1).run_outputs(jobs);
             let mut failures = 0usize;
             let mut results: Vec<(&Job, JobOutput)> = Vec::with_capacity(jobs.len());
@@ -2145,7 +2088,7 @@ fn execute_work(inner: &Arc<Inner>, kind: &WorkKind) -> Result<String, (String, 
             }
             if results.is_empty() {
                 return Err((
-                    error_kind(&last_error).to_string(),
+                    error_kind(&last_error),
                     format!("all {failures} candidate plans failed (last: {last_error})"),
                 ));
             }
@@ -2517,26 +2460,13 @@ pub fn export_dataset(cache_dir: &Path) -> io::Result<JsonValue> {
 // Observability: the registry snapshot and log spans
 // ---------------------------------------------------------------------------
 
-/// The registry with its mirrored instruments brought current: gauges
-/// from the live atomics, connection/back-pressure/framing counters and
-/// cache behavior from their sources of truth. The live-updated
-/// instruments (request counts, latency histograms, deadline kills) are
-/// already current.
+/// The registry with the cache counters brought current from the
+/// cache, their source of truth; every other instrument is updated live.
 fn metrics_snapshot(inner: &Inner) -> MetricsSnapshot {
-    let m = &inner.metrics;
-    m.queue_depth
-        .set(inner.queue_depth.load(Ordering::Relaxed) as i64);
-    m.in_flight
-        .set(inner.in_flight.load(Ordering::Relaxed) as i64);
-    m.connections
-        .store(inner.connections.load(Ordering::Relaxed));
-    m.rejected_overload
-        .store(inner.rejected_overload.load(Ordering::Relaxed));
-    m.bad_frames.store(inner.bad_frames.load(Ordering::Relaxed));
     if let Some(cache) = &inner.cache {
-        m.observe_cache(&cache.stats());
+        inner.metrics.observe_cache(&cache.stats());
     }
-    m.snapshot()
+    inner.metrics.snapshot()
 }
 
 /// One structured span event as a single JSON line on stderr, gated on
@@ -2718,6 +2648,49 @@ mod tests {
         );
     }
 
+    /// A standalone reply and a batch slot carrying the same outcome differ
+    /// only in their head.
+    #[test]
+    fn both_reply_shapes_carry_the_same_outcome_bytes() {
+        let id = JsonValue::from(7u64);
+        let outcomes = [
+            Outcome::Success {
+                cached: true,
+                key: Some("c9a832aff3d7a3dabf2f30264fa1c922".into()),
+                result: r#"{"benchmark":"MYC","report":{"cycles":1234}}"#.into(),
+            },
+            Outcome::Failure {
+                kind: "overloaded",
+                message: "admission queue is full (2 slots)".into(),
+                retry_after_ms: Some(500),
+            },
+        ];
+        for outcome in &outcomes {
+            let ok = outcome.is_success();
+            let standalone = outcome.render(Head::Envelope {
+                cmd: Some("run"),
+                id: Some(&id),
+            });
+            let slot = outcome.render(Head::Slot(3));
+            let standalone_body = standalone
+                .strip_prefix(&format!(r#"{{"ok":{ok},"cmd":"run","id":7"#))
+                .unwrap_or_else(|| panic!("standalone head: {standalone}"));
+            let slot_body = slot
+                .strip_prefix(&format!(r#"{{"index":3,"ok":{ok}"#))
+                .unwrap_or_else(|| panic!("slot head: {slot}"));
+            assert_eq!(standalone_body, slot_body);
+            for line in [&standalone, &slot] {
+                JsonValue::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            }
+        }
+        assert!(outcomes[0].render(Head::Slot(0)).ends_with(
+            r#","cached":true,"key":"c9a832aff3d7a3dabf2f30264fa1c922","result":{"benchmark":"MYC","report":{"cycles":1234}}}"#
+        ));
+        assert!(outcomes[1].render(Head::Slot(0)).ends_with(
+            r#","error":{"kind":"overloaded","message":"admission queue is full (2 slots)"},"retry_after_ms":500}"#
+        ));
+    }
+
     /// The key a stamped request computes without its matrix equals the
     /// key of a job built from a freshly prepared workload, for every
     /// tiny graph, both kernels, three plan shapes and three deadline
@@ -2735,8 +2708,8 @@ mod tests {
         ];
         let parse = |frame: &str| {
             let mut workloads = Workloads::new();
-            let (_, request) = parse_request(inner, frame.as_bytes(), &mut workloads)
-                .unwrap_or_else(|e| panic!("{frame}: {e}"));
+            let (_, request) = parse_request(inner, frame.as_bytes(), &mut workloads);
+            let request = request.unwrap_or_else(|e| panic!("{frame}: {e}"));
             (request, workloads.len())
         };
         for bench in Benchmark::ALL {
@@ -2782,19 +2755,19 @@ mod tests {
                             .with_deadline_cycles(deadline);
                         let (run, prepared) = parse(&format!(r#"{{"cmd":"run",{fields}}}"#));
                         assert_eq!(prepared, 0, "{fields}: stamped run prepared");
-                        let Request::Work {
+                        let Request::Work(KeyedSpec {
                             cache_key: Some(key),
                             ..
-                        } = run
+                        }) = run
                         else {
                             panic!("{fields}: run not keyed");
                         };
                         assert_eq!(key, job.cache_key(), "{fields}");
                         let (trace, _) = parse(&format!(r#"{{"cmd":"trace",{fields}}}"#));
-                        let Request::Work {
+                        let Request::Work(KeyedSpec {
                             cache_key: Some(key),
                             ..
-                        } = trace
+                        }) = trace
                         else {
                             panic!("{fields}: trace not keyed");
                         };
@@ -2805,10 +2778,10 @@ mod tests {
             }
             let (search, prepared) = parse(&format!(r#"{{"cmd":"search",{head}}}"#));
             assert_eq!(prepared, 0, "{name}: stamped search prepared");
-            let Request::Work {
+            let Request::Work(KeyedSpec {
                 cache_key: Some(key),
                 ..
-            } = search
+            }) = search
             else {
                 panic!("{name}: search not keyed");
             };

@@ -155,19 +155,23 @@ fn byzantine_clients_fail_their_requests_not_the_daemon() {
     );
     assert_eq!(ping.get("ok").and_then(JsonValue::as_bool), Some(true));
 
-    // Valid JSON that is not a valid request: still just a bad_request.
-    for frame in [
+    // Valid JSON that is not a valid request: still just a bad_request,
+    // echoing the frame's `id` whenever it is an object carrying one.
+    for (i, frame) in [
         "null",
         "[1,2,3]",
-        "{\"no_cmd\":true}",
-        "{\"cmd\":\"frobnicate\"}",
-        "{\"cmd\":\"run\"}",
-        "{\"cmd\":\"run\",\"benchmark\":\"nope\"}",
-        "{\"cmd\":\"run\",\"benchmark\":\"myc\",\"k\":17}",
-        "{\"cmd\":\"run\",\"benchmark\":\"myc\",\"pes\":3}",
-        "{\"cmd\":\"run\",\"benchmark\":\"myc\",\"pes\":1000000}",
-        "{\"cmd\":\"run\",\"benchmark\":\"myc\",\"rmatrix\":\"psychic\"}",
-    ] {
+        r#"{"no_cmd":true,"id":2}"#,
+        r#"{"cmd":"frobnicate","id":3}"#,
+        r#"{"cmd":"run","id":4}"#,
+        r#"{"cmd":"run","benchmark":"nope","id":5}"#,
+        r#"{"cmd":"run","benchmark":"myc","k":17,"id":6}"#,
+        r#"{"cmd":"run","benchmark":"myc","pes":3,"id":7}"#,
+        r#"{"cmd":"run","benchmark":"myc","pes":1000000,"id":8}"#,
+        r#"{"cmd":"run","benchmark":"myc","rmatrix":"psychic","id":9}"#,
+    ]
+    .into_iter()
+    .enumerate()
+    {
         let resp = parse(&client.request_line(frame).expect("reply"));
         assert_eq!(
             resp.get("error")
@@ -176,6 +180,9 @@ fn byzantine_clients_fail_their_requests_not_the_daemon() {
             Some("bad_request"),
             "frame {frame:?} should be rejected"
         );
+        let echoed = resp.get("id").and_then(JsonValue::as_u64);
+        let expected = frame.starts_with('{').then_some(i as u64);
+        assert_eq!(echoed, expected, "frame {frame:?} got {}", resp.render());
     }
 
     // A client that sends half a frame and disappears costs nothing.
@@ -320,9 +327,19 @@ fn deadline_exceeded_is_a_structured_error() {
 fn status_and_ping_report_live_state() {
     let (addr, handle) = spawn_service(test_config(None));
     let mut client = ServiceClient::connect(&addr).expect("connect");
-    let ping = parse(&client.request_line("{\"cmd\":\"ping\"}").expect("ping"));
+    let ping = parse(
+        &client
+            .request_line(r#"{"cmd":"ping","id":7}"#)
+            .expect("ping"),
+    );
     assert_eq!(ping.get("protocol").and_then(JsonValue::as_u64), Some(4));
-    let status = parse(&client.request_line("{\"cmd\":\"status\"}").expect("status"));
+    assert_eq!(ping.get("id").and_then(JsonValue::as_u64), Some(7));
+    let status = parse(
+        &client
+            .request_line(r#"{"cmd":"status","id":"s-1"}"#)
+            .expect("status"),
+    );
+    assert_eq!(status.get("id").and_then(JsonValue::as_str), Some("s-1"));
     for field in [
         "uptime_ms",
         "queue_depth",
@@ -342,7 +359,14 @@ fn status_and_ping_report_live_state() {
         Some(false)
     );
     assert!(status.get("cache").is_some_and(|c| *c == JsonValue::Null));
-    shutdown_and_join(&addr, handle);
+    let bye = parse(
+        &client
+            .request_line(r#"{"cmd":"shutdown","id":8}"#)
+            .expect("shutdown"),
+    );
+    assert_eq!(bye.get("id").and_then(JsonValue::as_u64), Some(8));
+    assert_eq!(bye.get("draining").and_then(JsonValue::as_bool), Some(true));
+    handle.join().expect("service thread");
 }
 
 #[test]
@@ -751,7 +775,7 @@ fn observability_never_changes_served_bytes() {
 // sweep (index freshness, load-scaled back-pressure, limit: 0)
 // ---------------------------------------------------------------------------
 
-use spade_bench::service::{scaled_retry_after_ms, MAX_RETRY_AFTER_MS};
+use spade_bench::service::{scaled_retry_after_ms, BASE_RETRY_AFTER_MS, MAX_RETRY_AFTER_MS};
 
 /// The raw bytes of the first `"result":` object at or after `from` —
 /// brace-matched and string-aware, so byte-identity assertions compare
@@ -1063,7 +1087,7 @@ fn mid_batch_overload_admits_what_fits() {
         worker_delay: Some(Duration::from_secs(3)),
         ..test_config(None)
     };
-    let base_retry = config.retry_after_ms;
+    let base_retry = BASE_RETRY_AFTER_MS;
     let (addr, handle) = spawn_service(config);
 
     // Occupy the single worker; the batch below then fills the single

@@ -3,8 +3,9 @@
 # starts a real daemon on an OS-assigned port, drives it with
 # `spade-cli client`, and checks the robustness contract from the
 # outside — cold run (byte-identical to a local run), byte-identical
-# cache hit, malformed-frame rejection, a concurrent burst, and a
-# SIGTERM drain that exits 0.
+# cache hit, malformed-frame rejection (counted once, in the registry),
+# a concurrent burst whose replies echo their ids, and a SIGTERM drain
+# that exits 0.
 #
 # Usage: scripts/serve_smoke.sh [path-to-spade-cli]
 # The cache directory is kept on failure (its path is printed) so CI can
@@ -129,15 +130,27 @@ if BAD=$(client 'this is not json'); then
   fail "malformed frame did not fail the client: $BAD"
 fi
 PING=$(client '{"cmd":"ping"}') || fail "daemon down after malformed frame"
+# One counter source: status and the metrics scrape read the same
+# registry counter.
+STATUS_BAD=$(client '{"cmd":"status"}' | sed -n 's/.*"bad_frames":\([0-9]*\).*/\1/p')
+PROM_BAD=$("$CLI" client metrics --addr "$ADDR" --prom | sed -n 's/^spade_bad_frames_total //p')
+[ -n "$STATUS_BAD" ] && [ "$STATUS_BAD" -ge 1 ] || fail "status bad_frames not counted: '$STATUS_BAD'"
+[ "$STATUS_BAD" = "$PROM_BAD" ] || fail "status bad_frames $STATUS_BAD != spade_bad_frames_total $PROM_BAD"
 
-echo "== concurrent burst (daemon keeps answering)"
+echo "== concurrent burst (daemon keeps answering, every reply echoes its id)"
 BURST_PIDS=""
 for i in $(seq 1 8); do
   client "{\"cmd\":\"run\",\"benchmark\":\"kro\",\"k\":16,\"pes\":4,\"no_cache\":true,\"id\":$i}" \
-    >/dev/null 2>&1 &
+    >"$CACHE_DIR/burst.$i" 2>&1 &
   BURST_PIDS="$BURST_PIDS $!"
 done
 for pid in $BURST_PIDS; do wait "$pid" || true; done
+for i in $(seq 1 8); do
+  case "$(cat "$CACHE_DIR/burst.$i")" in
+    *"\"id\":$i,"*|*"\"id\":$i}"*) ;;
+    *) fail "burst reply $i does not echo its id: $(cat "$CACHE_DIR/burst.$i")" ;;
+  esac
+done
 STATUS=$(client '{"cmd":"status"}')
 case "$STATUS" in *'"ok":true'*) ;; *) fail "status after burst: $STATUS" ;; esac
 
