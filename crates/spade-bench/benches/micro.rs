@@ -60,6 +60,46 @@ fn bench_vrf() {
     });
 }
 
+/// A 64-register file with every register resident and clean.
+fn full_clean_vrf() -> Vrf {
+    let mut vrf = Vrf::new(64);
+    for line in 0..64 {
+        let AllocOutcome::Allocated(id) = vrf.lookup_or_alloc(line, DataClass::CMatrix) else {
+            unreachable!("an empty file allocates");
+        };
+        vrf.set_ready(id);
+    }
+    vrf
+}
+
+fn bench_vrf_evict() {
+    // Every line is new, so every call misses the CAM and evicts the LRU
+    // clean register.
+    let mut vrf = full_clean_vrf();
+    let mut line = 64u64;
+    bench("vrf_lookup_or_alloc_64_evict", || {
+        line += 1;
+        match vrf.lookup_or_alloc(line, DataClass::CMatrix) {
+            AllocOutcome::Allocated(id) => vrf.set_ready(id),
+            other => unreachable!("a clean full file evicts, got {other:?}"),
+        }
+    });
+}
+
+fn bench_vrf_writeback() {
+    // Half the registers dirty, with write completions spread over time,
+    // so each pick filters the dirty set by `last_write_done <= now`.
+    let mut vrf = full_clean_vrf();
+    for id in (0..64).step_by(2) {
+        vrf.record_write(id, id as u64 * 8);
+    }
+    let mut now = 0u64;
+    bench("vrf_writeback_candidate_64", || {
+        now = (now + 7) % 640;
+        std::hint::black_box(vrf.writeback_candidate(std::hint::black_box(now)));
+    });
+}
+
 fn bench_tiling() {
     let a = Benchmark::Kro.generate(Scale::Tiny);
     bench("tile_kro_tiny_16x1024", || {
@@ -82,6 +122,8 @@ fn bench_kernels() {
 fn main() {
     bench_cache();
     bench_vrf();
+    bench_vrf_evict();
+    bench_vrf_writeback();
     bench_tiling();
     bench_kernels();
 }

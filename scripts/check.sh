@@ -14,7 +14,8 @@ echo "== cargo test -q"
 cargo test --workspace -q
 
 echo "== fault-injection stress (release, auditor on)"
-SPADE_AUDIT=1 cargo test --release -p spade-core --test fault_injection -q
+SPADE_AUDIT=1 cargo test --release -p spade-core --test fault_injection --test vrf_properties -q
+SPADE_AUDIT=1 cargo test --release -p spade-bench --test scheduler_equivalence -q
 
 echo "== trace smoke + golden-file check"
 # The trace format contains no wall-clock values, so the emitted bytes are
