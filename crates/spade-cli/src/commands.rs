@@ -1108,7 +1108,13 @@ fn bench_perf(argv: &[String]) -> Result<(), String> {
         summary.geomean_speedup(),
         host_start.elapsed().as_secs_f64()
     );
-    std::fs::write(&out, summary.to_json().render()).map_err(|e| format!("{out}: {e}"))?;
+    // `bench-advise` merges its own section into the same file; keep it.
+    let mut json = summary.to_json();
+    if let (JsonValue::Object(fields), Some(JsonValue::Object(old))) = (&mut json, read_json(&out))
+    {
+        fields.extend(old.into_iter().filter(|(k, _)| k == "bench_advise"));
+    }
+    std::fs::write(&out, json.render()).map_err(|e| format!("{out}: {e}"))?;
     println!("wrote {out}");
     if gate_speedup > 0.0 && summary.geomean_speedup() < gate_speedup {
         return Err(format!(
@@ -1253,15 +1259,17 @@ fn model_train(argv: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The JSON document at `path`, if it exists and parses.
+fn read_json(path: &str) -> Option<JsonValue> {
+    JsonValue::parse(&std::fs::read_to_string(path).ok()?).ok()
+}
+
 /// Merges `section` under `key` into the JSON document at `path`,
 /// preserving every other key — `bench-perf` and `bench-advise` write
 /// the same summary file from different CI legs. A missing or
 /// unparseable file starts a fresh document.
 fn merge_bench_section(path: &str, key: &str, section: JsonValue) -> String {
-    let mut fields: Vec<(String, JsonValue)> = match std::fs::read_to_string(path)
-        .ok()
-        .and_then(|t| JsonValue::parse(&t).ok())
-    {
+    let mut fields: Vec<(String, JsonValue)> = match read_json(path) {
         Some(JsonValue::Object(fields)) => fields,
         _ => Vec::new(),
     };
@@ -1506,6 +1514,8 @@ mod tests {
     #[test]
     fn bench_perf_writes_a_valid_summary() {
         let path = std::env::temp_dir().join("spade_cli_bench_perf_test.json");
+        // The section `bench-advise` merged into the file survives.
+        std::fs::write(&path, r#"{"geomean_speedup":0,"bench_advise":{"rows":[]}}"#).unwrap();
         dispatch(&argv(&[
             "bench-perf",
             "--scale",
@@ -1523,6 +1533,8 @@ mod tests {
         assert_eq!(spade_sim::json::validate(&text), Ok(()));
         assert!(text.contains("\"geomean_speedup\""));
         assert!(text.contains("\"kernel\":\"sddmm\""));
+        assert!(text.ends_with(r#","bench_advise":{"rows":[]}}"#), "{text}");
+        assert_eq!(text.matches("geomean_speedup").count(), 1);
     }
 
     #[test]
