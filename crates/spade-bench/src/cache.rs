@@ -99,7 +99,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Counters a [`ResultCache`] keeps about its own behavior, surfaced by
-/// the daemon's `status` response and flushed into `index.json`.
+/// the daemon's `status` response.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Entries served from disk.
@@ -220,9 +220,9 @@ impl ResultCache {
         keys
     }
 
-    /// Reads `key` without touching the hit/miss counters — for index
-    /// (re)builds that walk the cache, which are bookkeeping, not
-    /// request traffic. A damaged entry is still quarantined (that
+    /// Reads `key` without touching the hit/miss counters — for catalog
+    /// builds that walk the cache, which are bookkeeping, not request
+    /// traffic. A damaged entry is still quarantined (that
     /// counter records real events, not traffic).
     pub fn peek(&self, key: &str) -> Option<Vec<u8>> {
         let path = self.entry_path(key);
@@ -234,14 +234,6 @@ impl ResultCache {
                 None
             }
         }
-    }
-
-    /// Parses `index.json` if present and valid. Advisory only: callers
-    /// must cross-check anything they take from it against the entries
-    /// actually on disk.
-    pub fn read_index(&self) -> Option<JsonValue> {
-        let text = fs::read_to_string(self.dir.join("index.json")).ok()?;
-        JsonValue::parse(&text).ok()
     }
 
     fn entry_path(&self, key: &str) -> PathBuf {
@@ -328,51 +320,6 @@ impl ResultCache {
             let _ = fs::remove_file(path);
         }
         eprintln!("spade-cache: quarantined {} ({reason})", path.display());
-    }
-
-    /// Writes `index.json` next to the entries: format version, entry
-    /// count, and the behavior counters. Written atomically like an entry;
-    /// called by the daemon on graceful shutdown. The index is advisory —
-    /// correctness never depends on it (every entry is self-verifying).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error when the write fails.
-    pub fn flush_index(&self) -> io::Result<PathBuf> {
-        self.flush_index_with(None)
-    }
-
-    /// Like [`ResultCache::flush_index`], with an optional `dataset`
-    /// array — per-entry metadata the daemon's `query` surface catalogs —
-    /// persisted alongside the counters so the next daemon can warm its
-    /// catalog without decoding every entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error when the write fails.
-    pub fn flush_index_with(&self, dataset: Option<JsonValue>) -> io::Result<PathBuf> {
-        let stats = self.stats();
-        let mut fields = vec![
-            ("format_version", JsonValue::from(CACHE_FORMAT_VERSION)),
-            ("entries", self.len().into()),
-            ("stats", stats.to_json()),
-        ];
-        if let Some(dataset) = dataset {
-            fields.push(("dataset", dataset));
-        }
-        let doc = JsonValue::object(fields);
-        let path = self.dir.join("index.json");
-        let tmp = self.dir.join(format!(
-            "index.{}.{}.partial",
-            std::process::id(),
-            self.seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        let mut f = File::create(&tmp)?;
-        f.write_all(doc.render().as_bytes())?;
-        f.sync_all()?;
-        drop(f);
-        fs::rename(&tmp, &path)?;
-        Ok(path)
     }
 }
 
@@ -538,21 +485,6 @@ mod tests {
         );
         let _ = c;
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn index_flush_is_valid_json() {
-        let c = tmp_cache("index");
-        c.put("ffffeeeeddddccccbbbbaaaa99998888", b"x").unwrap();
-        let path = c.flush_index().unwrap();
-        let text = fs::read_to_string(&path).unwrap();
-        let doc = spade_sim::json::JsonValue::parse(&text).unwrap();
-        assert_eq!(
-            doc.get("format_version").and_then(|v| v.as_u64()),
-            Some(u64::from(CACHE_FORMAT_VERSION))
-        );
-        assert_eq!(doc.get("entries").and_then(|v| v.as_u64()), Some(1));
-        let _ = fs::remove_dir_all(c.dir());
     }
 
     #[test]

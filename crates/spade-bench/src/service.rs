@@ -48,8 +48,8 @@
 //!   the workload and builds the [`Job`].
 //! * **Graceful shutdown.** SIGTERM/SIGINT (see
 //!   [`install_termination_handler`]) or an in-band `shutdown` request
-//!   stops the accept loop, drains in-flight jobs, flushes the cache
-//!   index and returns a [`ServiceSummary`].
+//!   stops the accept loop, drains in-flight jobs and returns a
+//!   [`ServiceSummary`].
 //!
 //! # Protocol
 //!
@@ -68,8 +68,8 @@
 //! * `query` filters the cached entries as a dataset (benchmark, kernel,
 //!   kind, k, pes, cycle bounds), or folds them with `group_by`
 //!   (`benchmark`/`kernel`/`pes`) into per-group cycle statistics and a
-//!   best plan. The catalog is loaded from `index.json` and rebuilt from
-//!   the entries when the index is stale or missing.
+//!   best plan. The catalog is built from the entry files at bind time
+//!   and kept current as workers store.
 //! * `batch` carries many `run`-shaped jobs: an explicit `jobs` array, or
 //!   a `sweep` cross product over benchmarks × kernels × k × pes × plans.
 //!   Each slot is admitted, fails and is rejected on its own, and its
@@ -139,14 +139,6 @@ const MAX_REQUEST_K: usize = 4096;
 /// expanded sweep template). Bounds the per-connection reply buffer the
 /// way `queue_capacity` bounds admitted work.
 pub const MAX_BATCH_JOBS: usize = 256;
-
-/// Stores between debounced `index.json` flushes. Under sustained load
-/// the catalog is persisted every this-many stores; when the admission
-/// queue drains the pending stores are flushed immediately, so
-/// sequential traffic is persisted as it lands and a SIGKILL loses at
-/// most the last `INDEX_FLUSH_EVERY - 1` rows of the *advisory* index
-/// (the entries themselves are already durable).
-const INDEX_FLUSH_EVERY: u64 = 8;
 
 /// The idle floor of the `retry_after_ms` hint carried by `overloaded`
 /// rejections; the daemon scales it up with load
@@ -299,9 +291,6 @@ struct Inner {
     /// threading one identity through its log span from admission to
     /// reply.
     next_rid: AtomicU64,
-    /// Stores committed since the last `index.json` flush — the
-    /// debounce counter behind [`maybe_flush_index`].
-    index_dirty: AtomicU64,
     /// What a cache key needs from each workload this daemon has
     /// prepared. With a stamp, a request computes its key — and a warm
     /// request is answered — without preparing the workload. The wire
@@ -346,7 +335,6 @@ impl Inner {
             served_ok: AtomicU64::new(0),
             served_err: AtomicU64::new(0),
             next_rid: AtomicU64::new(0),
-            index_dirty: AtomicU64::new(0),
             stamps: Mutex::new(HashMap::new()),
             started: Instant::now(),
         })
@@ -518,8 +506,8 @@ impl Service {
 
     /// Serves until shutdown is requested (in-band `shutdown`, a
     /// [`ServiceHandle`], or SIGTERM/SIGINT after
-    /// [`install_termination_handler`]), then drains in-flight work,
-    /// flushes the cache index and returns the lifetime summary.
+    /// [`install_termination_handler`]), then drains in-flight work and
+    /// returns the lifetime summary.
     ///
     /// # Errors
     ///
@@ -559,7 +547,7 @@ impl Service {
         for h in handlers {
             let _ = h.join();
         }
-        drain(&inner, work_tx, workers);
+        drain(work_tx, workers);
         let m = &inner.metrics;
         Ok(ServiceSummary {
             served_ok: inner.served_ok.load(Ordering::Relaxed),
@@ -586,7 +574,7 @@ pub fn answer(config: ServiceConfig, line: &str) -> io::Result<String> {
     let inner = Arc::new(Inner::new(config)?);
     let (work_tx, workers) = spawn_workers(&inner)?;
     let response = process_frame(&inner, &work_tx, line.as_bytes());
-    drain(&inner, work_tx, workers);
+    drain(work_tx, workers);
     Ok(response)
 }
 
@@ -607,18 +595,12 @@ fn spawn_workers(inner: &Arc<Inner>) -> io::Result<(SyncSender<WorkItem>, Vec<Jo
     Ok((work_tx, workers))
 }
 
-/// Closes the admission queue, lets the workers finish what was
-/// admitted, and flushes the cache index.
-fn drain(inner: &Inner, work_tx: SyncSender<WorkItem>, workers: Vec<JoinHandle<()>>) {
+/// Closes the admission queue and lets the workers finish what was
+/// admitted.
+fn drain(work_tx: SyncSender<WorkItem>, workers: Vec<JoinHandle<()>>) {
     drop(work_tx);
     for w in workers {
         let _ = w.join();
-    }
-    if let Some(cache) = &inner.cache {
-        let dataset = inner.dataset.as_ref().map(DatasetIndex::to_json);
-        if let Err(e) = cache.flush_index_with(dataset) {
-            eprintln!("spade-serve: cache index flush failed: {e}");
-        }
     }
 }
 
@@ -1960,44 +1942,12 @@ fn worker_loop(inner: &Arc<Inner>, rx: &Arc<Mutex<Receiver<WorkItem>>>) {
                 if let Some(dataset) = &inner.dataset {
                     dataset.insert_payload(key, result);
                 }
-                inner.index_dirty.fetch_add(1, Ordering::Relaxed);
-                maybe_flush_index(inner);
             }
         }
         // The handler may have given up (connection died); a dead
         // receiver just drops the result.
         let _ = item.reply.send(outcome);
         inner.metrics.in_flight.add(-1);
-    }
-}
-
-/// Debounced `index.json` flush, called by workers after each committed
-/// store. The index used to be written only on graceful drain, so a
-/// SIGKILL'd daemon restarted with a permanently stale index and every
-/// cold `query` re-decoded entry payloads. Now the catalog is persisted
-/// during normal operation: immediately when the admission queue is
-/// empty (sequential traffic — a result is on disk in the index before
-/// its reply is sent), and every [`INDEX_FLUSH_EVERY`] stores under
-/// sustained load. The write itself is the cache's atomic
-/// temp-file+rename, so a crash mid-flush leaves the previous index.
-fn maybe_flush_index(inner: &Arc<Inner>) {
-    let (Some(cache), Some(dataset)) = (&inner.cache, &inner.dataset) else {
-        return;
-    };
-    let dirty = inner.index_dirty.load(Ordering::Relaxed);
-    if dirty == 0 {
-        return;
-    }
-    if dirty < INDEX_FLUSH_EVERY && inner.metrics.queue_depth.get() > 0 {
-        return; // debounce: more work is queued, batch the stores up
-    }
-    if inner.index_dirty.swap(0, Ordering::Relaxed) == 0 {
-        return; // another worker won the flush race
-    }
-    if let Err(e) = cache.flush_index_with(Some(dataset.to_json())) {
-        // A failed flush costs index freshness, not correctness: the
-        // entries are durable and the catalog rebuilds from them.
-        eprintln!("spade-serve: cache index flush failed: {e}");
     }
 }
 
@@ -2215,29 +2165,6 @@ impl EntryMeta {
             ("dram_accesses", self.dram_accesses.into()),
         ])
     }
-
-    fn from_json(doc: &JsonValue) -> Option<EntryMeta> {
-        let kind = match doc.get("kind")?.as_str()? {
-            "run" => "run",
-            "search" => "search",
-            "trace" => "trace",
-            _ => return None,
-        };
-        Some(EntryMeta {
-            key: doc.get("key")?.as_str()?.to_string(),
-            kind,
-            benchmark: doc.get("benchmark")?.as_str()?.to_string(),
-            kernel: doc.get("kernel")?.as_str()?.to_string(),
-            k: doc.get("k")?.as_u64()?,
-            pes: doc.get("pes")?.as_u64()?,
-            plan: match doc.get("plan") {
-                None | Some(JsonValue::Null) => None,
-                Some(p) => Some(p.clone()),
-            },
-            cycles: doc.get("cycles")?.as_u64()?,
-            dram_accesses: doc.get("dram_accesses")?.as_u64()?,
-        })
-    }
 }
 
 /// Decodes one cached payload into its catalog row. Returns `None` for
@@ -2288,40 +2215,27 @@ fn entry_meta_from_payload(key: &str, payload: &[u8]) -> Option<EntryMeta> {
 }
 
 /// In-memory catalog of the cache contents, backing the `query`
-/// request. Built once at bind time and kept current by the workers as
-/// they store; flushed into `index.json` on drain so the next daemon
-/// warms its catalog without decoding every entry. Advisory like the
-/// index itself: the entries on disk are the source of truth, and any
-/// key the stale index doesn't cover is rebuilt from the entry header.
+/// request. Built once at bind time from the entry files and kept
+/// current by the workers as they store; the entries on disk are its
+/// only source.
 struct DatasetIndex {
     entries: Mutex<BTreeMap<String, EntryMeta>>,
 }
 
 impl DatasetIndex {
-    /// Catalogs `cache`: rows from `index.json` where the entry is
-    /// still on disk, decoded from the entry payload otherwise (stale
-    /// or missing index); index rows whose entry vanished are dropped.
+    /// Catalogs `cache`: one row per entry that passes its checks,
+    /// decoded from the payload. [`ResultCache::peek`] quarantines an
+    /// entry that fails them, so it is neither listed nor exported.
     fn load(cache: &ResultCache) -> DatasetIndex {
-        let mut from_index: BTreeMap<String, EntryMeta> = BTreeMap::new();
-        if let Some(doc) = cache.read_index() {
-            if let Some(items) = doc.get("dataset").and_then(JsonValue::as_array) {
-                for item in items {
-                    if let Some(meta) = EntryMeta::from_json(item) {
-                        from_index.insert(meta.key.clone(), meta);
-                    }
-                }
-            }
-        }
-        let mut entries = BTreeMap::new();
-        for key in cache.keys() {
-            if let Some(meta) = from_index.remove(&key) {
-                entries.insert(key, meta);
-            } else if let Some(payload) = cache.peek(&key) {
-                if let Some(meta) = entry_meta_from_payload(&key, &payload) {
-                    entries.insert(key, meta);
-                }
-            }
-        }
+        let entries = cache
+            .keys()
+            .into_iter()
+            .filter_map(|key| {
+                let payload = cache.peek(&key)?;
+                let meta = entry_meta_from_payload(&key, &payload)?;
+                Some((key, meta))
+            })
+            .collect();
         DatasetIndex {
             entries: Mutex::new(entries),
         }
@@ -2417,7 +2331,7 @@ impl DatasetIndex {
         ])
     }
 
-    /// The catalog as the `dataset` array persisted in `index.json`.
+    /// The catalog rows as one JSON array, in key order.
     fn to_json(&self) -> JsonValue {
         let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
         JsonValue::Array(entries.values().map(EntryMeta::to_json).collect())
@@ -2427,11 +2341,10 @@ impl DatasetIndex {
 /// Exports the cache catalog as one JSON document — the dataset a cost
 /// model is trained from (`spade-cli dataset export` / `model train`).
 /// Loads the catalog exactly the way the daemon does at bind time
-/// ([`DatasetIndex::load`]): rows from a current `index.json` are
-/// trusted, anything the index is stale or missing for is rebuilt from
-/// the entry payloads on disk, and entries that fail their checksum are
-/// quarantined and *skipped* — the export reports how many in
-/// `skipped_quarantined` (with a stderr warning) instead of failing.
+/// ([`DatasetIndex::load`]): every row is decoded from an entry file on
+/// disk, and entries that fail their checks are quarantined and
+/// *skipped* — the export reports how many in `skipped_quarantined`
+/// (with a stderr warning) instead of failing.
 ///
 /// # Errors
 ///

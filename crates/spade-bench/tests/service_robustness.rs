@@ -641,9 +641,7 @@ fn warm_query_reflects_exactly_the_cached_entries() {
 
     shutdown_and_join(&addr, handle);
 
-    // Delete the advisory index: a restarted daemon must rebuild the
-    // catalog from the entry payloads themselves.
-    std::fs::remove_file(dir.join("index.json")).expect("remove index");
+    // A restarted daemon catalogs the entry payloads themselves.
     let (addr, handle) = spawn_service(test_config(Some(&dir)));
     let mut client = ServiceClient::connect(&addr).expect("reconnect");
     let rebuilt = query(&mut client, r#"{"cmd":"query"}"#);
@@ -660,7 +658,7 @@ fn warm_query_reflects_exactly_the_cached_entries() {
         })
         .collect();
     listed.sort();
-    assert_eq!(listed, keys, "catalog must survive losing index.json");
+    assert_eq!(listed, keys, "catalog must survive a restart");
     shutdown_and_join(&addr, handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -1359,15 +1357,29 @@ fn query_limit_zero_is_rejected_not_silently_empty() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Flips one payload byte of `key`'s entry file, so its checksum fails.
+fn corrupt_entry(dir: &Path, key: &str) {
+    let path = dir.join(format!("{key}.entry"));
+    let mut bytes = std::fs::read(&path).expect("entry file");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x40;
+    std::fs::write(&path, &bytes).expect("rewrite entry");
+}
+
+/// The entry files are the catalog's only source: an entry damaged
+/// after its daemon stopped is skipped (and counted) by `dataset
+/// export`, and is not listed by the next daemon's `query`, whatever
+/// catalog the first daemon left behind.
 #[test]
-fn index_flushes_during_normal_operation_not_only_at_drain() {
-    let dir = std::env::temp_dir().join(format!("spade_svc_flush_{}", std::process::id()));
+fn corrupt_entries_are_neither_listed_nor_exported_after_a_restart() {
+    let dir = std::env::temp_dir().join(format!("spade_svc_corrupt_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let (addr, handle) = spawn_service(test_config(Some(&dir)));
     let mut client = ServiceClient::connect(&addr).expect("connect");
     let mut keys = Vec::new();
-    for req in &SOLO_3[..2] {
+    for req in SOLO_3 {
         let doc = parse(&client.request_line(req).expect("run"));
+        assert_eq!(doc.get("ok").and_then(JsonValue::as_bool), Some(true));
         keys.push(
             doc.get("key")
                 .and_then(JsonValue::as_str)
@@ -1375,27 +1387,41 @@ fn index_flushes_during_normal_operation_not_only_at_drain() {
                 .to_string(),
         );
     }
-    // The satellite fix: with an idle queue every store flushes the
-    // index before the reply is sent, so the on-disk catalog is already
-    // current — no drain needed. (A SIGKILL now loses nothing; the
-    // process-level test lives in spade-cli's serve_daemon suite.)
-    let text = std::fs::read_to_string(dir.join("index.json"))
-        .expect("index.json must exist while the daemon is still running");
-    let index = JsonValue::parse(&text).expect("parse index");
-    let listed: Vec<&str> = index
-        .get("dataset")
-        .and_then(JsonValue::as_array)
-        .expect("dataset rows")
-        .iter()
-        .filter_map(|e| e.get("key").and_then(JsonValue::as_str))
-        .collect();
-    for key in &keys {
-        assert!(
-            listed.contains(&key.as_str()),
-            "store {key} missing from the live index {listed:?}"
-        );
-    }
     shutdown_and_join(&addr, handle);
+
+    let listed = |doc: &JsonValue| -> Vec<String> {
+        doc.get("entries")
+            .and_then(JsonValue::as_array)
+            .expect("entries")
+            .iter()
+            .filter_map(|e| e.get("key").and_then(JsonValue::as_str))
+            .map(str::to_string)
+            .collect()
+    };
+
+    corrupt_entry(&dir, &keys[0]);
+    let export = spade_bench::service::export_dataset(&dir).expect("export");
+    assert_eq!(
+        export
+            .get("skipped_quarantined")
+            .and_then(JsonValue::as_u64),
+        Some(1)
+    );
+    assert_eq!(export.get("total").and_then(JsonValue::as_u64), Some(2));
+    assert!(
+        !listed(&export).contains(&keys[0]),
+        "exported a corrupt entry"
+    );
+
+    corrupt_entry(&dir, &keys[1]);
+    let (addr, handle) = spawn_service(test_config(Some(&dir)));
+    let mut client = ServiceClient::connect(&addr).expect("reconnect");
+    let rows = parse(&client.request_line(r#"{"cmd":"query"}"#).expect("query"));
+    let result = rows.get("result").expect("query result");
+    assert_eq!(result.get("total").and_then(JsonValue::as_u64), Some(1));
+    assert_eq!(listed(result), vec![keys[2].clone()]);
+    let summary = shutdown_and_join(&addr, handle);
+    assert_eq!(summary.cache.expect("cache stats").quarantined, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

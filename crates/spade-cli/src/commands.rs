@@ -566,7 +566,7 @@ fn run_mm(argv: &[String]) -> Result<(), String> {
 /// JSON over TCP, a bounded admission queue with back-pressure, and a
 /// crash-safe persistent result cache (see `spade_bench::service`).
 /// SIGTERM/ctrl-c (or an in-band `shutdown` request) drains in-flight
-/// jobs, flushes the cache index and exits 0.
+/// jobs and exits 0.
 fn serve(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(
         argv,
@@ -1137,9 +1137,9 @@ fn dataset(argv: &[String]) -> Result<(), String> {
 }
 
 /// `dataset export`: the cache catalog as one JSON document, the input
-/// to `model train`. Rebuilds from entry payloads when `index.json` is
-/// stale and skips (with a counted warning) entries that fail their
-/// checksum — a damaged cache degrades the dataset, never the export.
+/// to `model train`. Every row is decoded from an entry payload; entries
+/// that fail their checks are skipped with a counted warning — a
+/// damaged cache degrades the dataset, never the export.
 fn dataset_export(argv: &[String]) -> Result<(), String> {
     let args = Args::parse(argv, &["cache-dir", "out"], &[])?;
     let dir = args.get("cache-dir").ok_or("--cache-dir is required")?;
@@ -1595,11 +1595,9 @@ mod tests {
         assert!(err.contains("mutually exclusive"), "{err}");
     }
 
-    /// The full offline loop: a swept cache (with a stale index and one
-    /// corrupt entry) → `dataset export` → `model train` → `advise
-    /// --model`. Pins the satellite contract: a stale `index.json` is
-    /// rebuilt from entry payloads and quarantined entries are skipped
-    /// with a count, never a failure.
+    /// The full offline loop: a swept cache (with one corrupt entry) →
+    /// `dataset export` → `model train` → `advise --model`. Quarantined
+    /// entries are skipped with a count, never a failure.
     #[test]
     fn dataset_export_model_train_advise_roundtrip() {
         use spade_bench::cache::ResultCache;
@@ -1627,8 +1625,6 @@ mod tests {
                 }
             }
         }
-        // Stale index: garbage forces the rebuild-from-payloads path.
-        std::fs::write(dir.join("index.json"), "not json at all").unwrap();
         // One damaged entry: must be quarantined and skipped, not fatal.
         let victim = dir.join("e000.entry");
         let mut bytes = std::fs::read(&victim).unwrap();

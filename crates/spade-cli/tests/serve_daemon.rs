@@ -172,15 +172,12 @@ fn sigkill_mid_write_then_restart_serves_identical_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The stale-index bugfix, at the process level: the index used to be
-/// flushed only in the drain path, so SIGKILL — which never drains —
-/// left it permanently stale and every cold `query` rescanned entry
-/// payloads. Now each store flushes the index while the queue is idle,
-/// so a SIGKILL'd daemon leaves `index.json` current and the restart
-/// catalogs from it directly.
+/// A SIGKILL never drains, so whatever the next daemon lists must come
+/// from the entry files alone: a restart's `query` lists every key the
+/// killed daemon stored.
 #[test]
-fn sigkill_after_stores_leaves_a_fresh_index() {
-    let dir = temp_dir("kill9_index");
+fn sigkill_restart_queries_every_stored_key() {
+    let dir = temp_dir("kill9_restart");
     let mut keys = Vec::new();
     {
         let daemon = Daemon::start(&dir);
@@ -202,40 +199,27 @@ fn sigkill_after_stores_leaves_a_fresh_index() {
         // Dropped here: no drain, no summary — death was immediate.
     }
 
-    let index = std::fs::read_to_string(dir.join("index.json"))
-        .expect("index.json must exist after SIGKILL");
-    let index = parse(&index);
-    assert_eq!(index.get("entries").and_then(JsonValue::as_u64), Some(2));
-    let listed: Vec<&str> = index
-        .get("dataset")
-        .and_then(JsonValue::as_array)
-        .expect("dataset rows")
-        .iter()
-        .filter_map(|e| e.get("key").and_then(JsonValue::as_str))
-        .collect();
-    for key in &keys {
-        assert!(
-            listed.contains(&key.as_str()),
-            "store {key} missing from the post-SIGKILL index {listed:?}"
-        );
-    }
-
-    // The restart catalogs both entries straight from the fresh index.
     let daemon = Daemon::start(&dir);
     let mut client = daemon.client();
     let rows = parse(&client.request_line(r#"{"cmd":"query"}"#).expect("query"));
-    assert_eq!(
-        rows.get("result")
-            .and_then(|r| r.get("matched"))
-            .and_then(JsonValue::as_u64),
-        Some(2)
-    );
+    let result = rows.get("result").expect("result");
+    assert_eq!(result.get("total").and_then(JsonValue::as_u64), Some(2));
+    let mut listed: Vec<&str> = result
+        .get("entries")
+        .and_then(JsonValue::as_array)
+        .expect("entries")
+        .iter()
+        .filter_map(|e| e.get("key").and_then(JsonValue::as_str))
+        .collect();
+    listed.sort_unstable();
+    keys.sort();
+    assert_eq!(listed, keys, "the restart must list every stored key");
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// SIGTERM is the supervisor's stop button: the daemon drains, flushes
-/// the cache index, prints its lifetime summary, and exits 0.
+/// SIGTERM is the supervisor's stop button: the daemon drains, prints
+/// its lifetime summary, and exits 0.
 #[test]
 fn sigterm_drains_flushes_and_exits_zero() {
     let dir = temp_dir("sigterm");
@@ -256,17 +240,6 @@ fn sigterm_drains_flushes_and_exits_zero() {
     assert_eq!(
         doc.get("cache")
             .and_then(|c| c.get("stores"))
-            .and_then(JsonValue::as_u64),
-        Some(1)
-    );
-    // The index was flushed during the drain.
-    let index = std::fs::read_to_string(dir.join("index.json")).expect("index.json");
-    let index = parse(&index);
-    assert_eq!(index.get("entries").and_then(JsonValue::as_u64), Some(1));
-    assert_eq!(
-        index
-            .get("stats")
-            .and_then(|s| s.get("stores"))
             .and_then(JsonValue::as_u64),
         Some(1)
     );

@@ -350,10 +350,8 @@ pub struct Pe {
     /// In-flight SIMD operations. Dispatch happens at monotonically
     /// nondecreasing `now` with a fixed latency, so completions are FIFO.
     in_flight: VecDeque<InFlight>,
+    /// The register file; its fills in flight are the dense load queue.
     vrf: Vrf,
-    /// (completion, vr) heap for dense loads in flight; bounds the dense
-    /// load queue.
-    dense_loads: BinaryHeap<Reverse<(Cycle, VrId)>>,
     /// Completion heap for outstanding stores; bounds the store queue.
     stores: BinaryHeap<Reverse<Cycle>>,
     /// Dirty lines pending the final VRF drain of a WB&Invalidate.
@@ -412,7 +410,6 @@ impl Pe {
             rs_live: 0,
             in_flight: VecDeque::new(),
             vrf: Vrf::new(cfg.vrf_regs),
-            dense_loads: BinaryHeap::new(),
             stores: BinaryHeap::new(),
             pending_flush: VecDeque::new(),
             wb_draining: false,
@@ -481,7 +478,7 @@ impl Pe {
     /// dense-operand loads plus sparse line-group fetches not yet fully
     /// consumed. Used as the in-flight-reads telemetry gauge.
     pub fn load_queue_depth(&self) -> usize {
-        self.dense_loads.len() + self.sparse_lq.len()
+        self.vrf.loads_in_flight() + self.sparse_lq.len()
     }
 
     /// A diagnostic snapshot of this PE's control state and queue
@@ -499,7 +496,7 @@ impl Pe {
             top_q: self.top_q.len(),
             rs: self.rs_live,
             in_flight: self.in_flight.len(),
-            dense_loads: self.dense_loads.len(),
+            dense_loads: self.vrf.loads_in_flight(),
             stores: self.stores.len(),
             pending_flush: self.pending_flush.len(),
             wake_at: None,
@@ -520,7 +517,7 @@ impl Pe {
             ("rs", self.rs_live, self.cfg.rs_entries),
             (
                 "dense_loads",
-                self.dense_loads.len(),
+                self.vrf.loads_in_flight(),
                 self.cfg.dense_lq_entries,
             ),
             ("stores", self.stores.len(), self.cfg.store_queue_entries),
@@ -588,7 +585,7 @@ impl Pe {
             && self.top_q.is_empty()
             && self.rs_live == 0
             && self.in_flight.is_empty()
-            && self.dense_loads.is_empty()
+            && self.vrf.loads_in_flight() == 0
     }
 
     /// Advances this PE by one pipeline step at `now`, executing shared
@@ -609,12 +606,7 @@ impl Pe {
         let mut progressed = false;
 
         // ─ Completion harvesting ─
-        while let Some(&Reverse((done, vr))) = self.dense_loads.peek() {
-            if done > now {
-                break;
-            }
-            self.dense_loads.pop();
-            self.vrf.set_ready(vr);
+        if self.vrf.complete_loads(now) {
             self.rs_next_try = self.rs_next_try.min(now);
             self.alloc_blocked = false;
             progressed = true;
@@ -726,7 +718,7 @@ impl Pe {
                 self.note_stall(StallCause::Vr, now);
             } else if self.rs_live >= self.cfg.rs_entries {
                 self.note_stall(StallCause::Rs, now);
-            } else if self.dense_loads.len() + 2 > self.cfg.dense_lq_entries {
+            } else if self.vrf.loads_in_flight() + 2 > self.cfg.dense_lq_entries {
                 self.note_stall(StallCause::DenseLq, now);
             } else if self.gen_vop(top, now, mem, addr) {
                 self.close_stall(now);
@@ -855,7 +847,6 @@ impl Pe {
                     now,
                 );
                 self.vrf.set_loading(id, done);
-                self.dense_loads.push(Reverse((done, id)));
                 id
             }
             AllocOutcome::Stall => return false,
@@ -872,7 +863,6 @@ impl Pe {
                     now,
                 );
                 self.vrf.set_loading(id, done);
-                self.dense_loads.push(Reverse((done, id)));
                 id
             }
             AllocOutcome::Stall => return false,
@@ -1079,7 +1069,7 @@ impl Pe {
                 next = next.min(t);
             }
         };
-        if let Some(&Reverse((t, _))) = self.dense_loads.peek() {
+        if let Some(t) = self.vrf.next_load_completion() {
             fold(t);
         }
         if let Some(&Reverse(t)) = self.stores.peek() {

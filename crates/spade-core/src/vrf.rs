@@ -11,28 +11,17 @@
 //! four status bitsets (`invalid`, `ready`, `dirty`, `unref`). A victim or
 //! write-back pick walks only the set bits of one mask word per 64
 //! registers, the way the hardware's status RAM answers in one cycle.
+//! Fills in flight sit in a completion-time heap, so promoting arrived
+//! fills and finding the next arrival never scan the registers.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use spade_sim::{Cycle, DataClass, Line};
 
 /// Index of a vector register.
 pub type VrId = usize;
-
-/// Load state of one register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VrState {
-    /// No valid tag.
-    Invalid,
-    /// A fill is in flight; data arrives at the cycle payload.
-    Loading {
-        /// Completion time of the fill.
-        ready_at: Cycle,
-    },
-    /// Data resident.
-    Ready,
-}
 
 const NO_TAG: Line = Line::MAX;
 
@@ -110,6 +99,9 @@ pub struct Vrf {
     /// Set while `refs` is zero.
     unref: Vec<u64>,
     cam: HashMap<Line, VrId, BuildHasherDefault<LineHasher>>,
+    /// (completion, register) of every fill in flight; its size bounds
+    /// the PE's dense load queue.
+    loads: BinaryHeap<Reverse<(Cycle, VrId)>>,
     dirty_count: usize,
     tick: u64,
 }
@@ -170,6 +162,7 @@ impl Vrf {
             dirty: vec![0; words],
             unref: all,
             cam,
+            loads: BinaryHeap::new(),
             dirty_count: 0,
             tick: 0,
         }
@@ -188,11 +181,6 @@ impl Vrf {
     /// Dirty fraction in `[0, 1]`.
     pub fn dirty_fraction(&self) -> f64 {
         self.dirty_count as f64 / self.tag.len() as f64
-    }
-
-    /// Word `w` of the loading set: registers neither invalid nor ready.
-    fn loading_bits(&self, w: usize) -> u64 {
-        live_bits(self.tag.len(), w) & !(self.invalid[w] | self.ready[w])
     }
 
     /// The least-recently-used register among the set bits of `mask(w)`
@@ -248,30 +236,47 @@ impl Vrf {
         AllocOutcome::Allocated(id)
     }
 
-    /// Marks a fill in flight, completing at `ready_at`.
+    /// Marks a fill of a just-allocated register in flight, completing
+    /// at `ready_at`.
     pub fn set_loading(&mut self, id: VrId, ready_at: Cycle) {
         self.ready_at[id] = ready_at;
         clear_bit(&mut self.invalid, id);
         clear_bit(&mut self.ready, id);
+        self.loads.push(Reverse((ready_at, id)));
     }
 
-    /// Marks the register resident immediately (write-only destinations:
-    /// SDDMM output lines are fully produced, never read, §5.1).
+    /// Marks a just-allocated register resident without a fill
+    /// (write-only destinations: SDDMM output lines are fully produced,
+    /// never read, §5.1).
     pub fn set_ready(&mut self, id: VrId) {
         self.ready_at[id] = 0;
         clear_bit(&mut self.invalid, id);
         set_bit(&mut self.ready, id);
     }
 
-    /// Promotes registers whose fills have arrived by `now`.
-    pub fn complete_loads(&mut self, now: Cycle) {
-        for w in 0..self.invalid.len() {
-            for id in ids(w, self.loading_bits(w)) {
-                if self.ready_at[id] <= now {
-                    self.set_ready(id);
-                }
+    /// Promotes registers whose fills have arrived by `now`; returns
+    /// whether any did.
+    pub fn complete_loads(&mut self, now: Cycle) -> bool {
+        let mut promoted = false;
+        while let Some(&Reverse((done, id))) = self.loads.peek() {
+            if done > now {
+                break;
             }
+            self.loads.pop();
+            self.set_ready(id);
+            promoted = true;
         }
+        promoted
+    }
+
+    /// Fills in flight.
+    pub fn loads_in_flight(&self) -> usize {
+        self.loads.len()
+    }
+
+    /// Earliest in-flight fill completion, if any (for idle fast-forward).
+    pub fn next_load_completion(&self) -> Option<Cycle> {
+        self.loads.peek().map(|&Reverse((done, _))| done)
     }
 
     /// The cycle at which `id` has its data (now or in the future);
@@ -337,7 +342,8 @@ impl Vrf {
     }
 
     /// All dirty registers' (line, class), for the final VRF drain of a
-    /// WB&Invalidate; the registers become clean and invalid.
+    /// WB&Invalidate; the registers become clean and invalid, and fills
+    /// still in flight are forgotten.
     pub fn drain_dirty(&mut self) -> Vec<(Line, DataClass)> {
         let mut out = Vec::new();
         self.drain_dirty_into(&mut out);
@@ -354,6 +360,7 @@ impl Vrf {
             out.extend(ids(w, self.dirty[w]).map(|id| (self.tag[id], self.class[id])));
         }
         self.cam.clear();
+        self.loads.clear();
         self.tag.fill(NO_TAG);
         self.ready_at.fill(Cycle::MAX);
         self.last_write_done.fill(0);
@@ -368,21 +375,6 @@ impl Vrf {
         }
         self.dirty_count = 0;
         n
-    }
-
-    /// Whether every register is idle (no refs, no loads in flight). Dirty
-    /// registers are allowed — barriers do not force write-backs.
-    pub fn is_quiescent(&self) -> bool {
-        (0..self.unref.len())
-            .all(|w| self.unref[w] == live_bits(self.tag.len(), w) && self.loading_bits(w) == 0)
-    }
-
-    /// Earliest in-flight fill completion, if any (for idle fast-forward).
-    pub fn next_load_completion(&self) -> Option<Cycle> {
-        (0..self.invalid.len())
-            .flat_map(|w| ids(w, self.loading_bits(w)))
-            .map(|id| self.ready_at[id])
-            .min()
     }
 }
 
@@ -527,7 +519,7 @@ mod tests {
         drained.sort_unstable();
         assert_eq!(drained, vec![0, 2]);
         assert_eq!(v.dirty_count(), 0);
-        assert!(v.is_quiescent());
+        assert_eq!(v.loads_in_flight(), 0);
         // Every register is reusable again.
         for line in 10..14 {
             assert!(matches!(
@@ -538,20 +530,23 @@ mod tests {
     }
 
     #[test]
-    fn quiescence_ignores_dirty_but_not_loading() {
+    fn fills_are_in_flight_until_they_complete() {
         let mut v = Vrf::new(2);
         let AllocOutcome::Allocated(a) = v.lookup_or_alloc(1, CL) else {
             panic!()
         };
         v.set_ready(a);
         v.record_write(a, 0);
-        assert!(v.is_quiescent());
+        assert_eq!(v.loads_in_flight(), 0);
         let AllocOutcome::Allocated(b) = v.lookup_or_alloc(2, CL) else {
             panic!()
         };
         v.set_loading(b, 99);
-        assert!(!v.is_quiescent());
+        assert_eq!(v.loads_in_flight(), 1);
         assert_eq!(v.next_load_completion(), Some(99));
+        assert!(!v.complete_loads(98));
+        assert!(v.complete_loads(99));
+        assert_eq!((v.loads_in_flight(), v.next_load_completion()), (0, None));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 # `spade-cli client`, and checks the robustness contract from the
 # outside — cold run (byte-identical to a local run), byte-identical
 # cache hit, malformed-frame rejection (counted once, in the registry),
-# a concurrent burst whose replies echo their ids, and a SIGTERM drain
-# that exits 0.
+# a concurrent burst whose replies echo their ids, a SIGTERM drain
+# that exits 0, and a restart whose catalog lists every stored entry.
 #
 # Usage: scripts/serve_smoke.sh [path-to-spade-cli]
 # The cache directory is kept on failure (its path is printed) so CI can
@@ -37,20 +37,34 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "== starting daemon (port 0, cache at $CACHE_DIR)"
-"$CLI" serve --addr 127.0.0.1:0 --cache-dir "$CACHE_DIR" \
-  --read-timeout-ms 50 >"$LOG" &
-DAEMON_PID=$!
+# Starts a daemon over $CACHE_DIR logging to $LOG; sets DAEMON_PID and
+# ADDR from the banner line, which announces the actual address.
+start_daemon() {
+  "$CLI" serve --addr 127.0.0.1:0 --cache-dir "$CACHE_DIR" \
+    --read-timeout-ms 50 >"$LOG" &
+  DAEMON_PID=$!
+  for _ in $(seq 1 100); do
+    [ -s "$LOG" ] && break
+    kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon died before banner"
+    sleep 0.05
+  done
+  ADDR=$(head -n1 "$LOG" | sed -n 's/.*"serving":"\([^"]*\)".*/\1/p')
+  [ -n "$ADDR" ] || fail "no serving address in banner: $(head -n1 "$LOG")"
+  echo "   daemon at $ADDR"
+}
 
-# The banner line announces the actual address.
-for _ in $(seq 1 100); do
-  [ -s "$LOG" ] && break
-  kill -0 "$DAEMON_PID" 2>/dev/null || fail "daemon died before banner"
-  sleep 0.05
-done
-ADDR=$(head -n1 "$LOG" | sed -n 's/.*"serving":"\([^"]*\)".*/\1/p')
-[ -n "$ADDR" ] || fail "no serving address in banner: $(head -n1 "$LOG")"
-echo "   daemon at $ADDR"
+# Sends SIGTERM and requires a drain that exits 0.
+stop_daemon() {
+  kill -TERM "$DAEMON_PID"
+  if ! wait "$DAEMON_PID"; then
+    DAEMON_PID=""
+    fail "daemon did not exit 0 on SIGTERM"
+  fi
+  DAEMON_PID=""
+}
+
+echo "== starting daemon (port 0, cache at $CACHE_DIR)"
+start_daemon
 
 client() { "$CLI" client --addr "$ADDR" --request "$1"; }
 
@@ -154,17 +168,21 @@ done
 STATUS=$(client '{"cmd":"status"}')
 case "$STATUS" in *'"ok":true'*) ;; *) fail "status after burst: $STATUS" ;; esac
 
-echo "== SIGTERM (drain, flush index, exit 0)"
-kill -TERM "$DAEMON_PID"
-if ! wait "$DAEMON_PID"; then
-  DAEMON_PID=""
-  fail "daemon did not exit 0 on SIGTERM"
-fi
-DAEMON_PID=""
+echo "== SIGTERM (drain, print summary, exit 0)"
+stop_daemon
 SUMMARY=$(tail -n1 "$LOG")
 case "$SUMMARY" in *'"served_ok"'*) ;; *) fail "no summary line: $SUMMARY" ;; esac
 case "$SUMMARY" in *'"metrics"'*) ;; *) fail "summary has no metrics snapshot: $SUMMARY" ;; esac
-[ -f "$CACHE_DIR/index.json" ] || fail "index.json was not flushed on drain"
+STORED=$(printf '%s' "$SUMMARY" | sed -n 's/.*"cache":{[^}]*"stores":\([0-9]*\).*/\1/p')
+[ -n "$STORED" ] && [ "$STORED" -ge 1 ] || fail "summary counts no cache stores: $SUMMARY"
+echo "   $STORED entries stored"
+
+echo "== restart (a new daemon catalogs every entry the first one stored)"
+LOG="$CACHE_DIR/serve2.log"
+start_daemon
+RESTARTED=$("$CLI" client query --addr "$ADDR" --format json) || fail "query after restart failed"
+case "$RESTARTED" in *"\"total\":$STORED,"*) ;; *) fail "restart catalog total != $STORED stored: $RESTARTED" ;; esac
+stop_daemon
 
 rm -rf "$CACHE_DIR"
 echo "serve_smoke: all checks passed."
